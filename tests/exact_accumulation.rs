@@ -118,6 +118,58 @@ fn exact_on_bitwise_identical_across_threads_dataflows_precisions_routes() {
     }
 }
 
+/// FNV-1a (64-bit) over the little-endian bytes of a run's output bits.
+fn fnv1a(bits: &[u32]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for b in bits.iter().flat_map(|v| v.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// The 16-bit precisions' exact-on output bits, pinned as digests of the
+/// sweep fixture above. Both routes must hit them: once fused and unfused
+/// share one reduction, their agreement alone cannot catch a change that
+/// makes both agree on wrong bits — these digests can.
+#[test]
+fn exact_on_fp16_int8_bits_match_pinned_digests() {
+    if forced_exact_mode() == Some(false) {
+        return; // this suite run is explicitly exercising the serial-order path
+    }
+    const PINNED: [(&str, Precision, u64); 6] = [
+        ("grouped", Precision::Fp16, 0x0f6a_6593_7437_58c6),
+        ("grouped", Precision::Int8, 0x790d_bf73_795f_61fb),
+        ("separate", Precision::Fp16, 0xdb06_752c_e323_cba2),
+        ("separate", Precision::Int8, 0x05a6_f52c_512b_7720),
+        ("fetch-on-demand", Precision::Fp16, 0xd840_554d_77d1_a6af),
+        ("fetch-on-demand", Precision::Int8, 0xaa21_a879_65fe_7a75),
+    ];
+    let sites: Vec<(i32, i32, i32)> =
+        (0..300).map(|i| ((i * 7) % 21 - 10, (i * 13) % 17 - 8, (i * 5) % 15 - 7)).collect();
+    let x = tensor_from(&sites, 4, 61);
+    let m = model(4, 61);
+    for (dataflow, cfg) in dataflow_configs() {
+        for (name, precision, digest) in PINNED {
+            if name != dataflow {
+                continue;
+            }
+            for fused in [false, true] {
+                let mut cfg = cfg.clone();
+                cfg.precision = precision;
+                cfg.fused_execution = fused;
+                cfg.exact_accumulation = true;
+                let (_, bits) = output_bits(cfg, 1, &m, &x);
+                assert_eq!(
+                    fnv1a(&bits),
+                    digest,
+                    "{dataflow} @ {precision:?} with fused={fused}: output bits changed"
+                );
+            }
+        }
+    }
+}
+
 /// Exact accumulation off: every thread count and route reproduces the
 /// historical serial-order bits — the 1-thread unfused engine runs the
 /// byte-for-byte pre-superaccumulator scatter, and everything else must
