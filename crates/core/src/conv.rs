@@ -624,6 +624,37 @@ mod tests {
     }
 
     #[test]
+    fn kernel_21_keeps_the_superaccumulator_and_stays_bitwise_stable() {
+        use crate::dataflow::ExactPath;
+        // Volume 9261 is past the 2^13 addends an f64 lane sums exactly,
+        // so even FP16 partial sums must take the superaccumulator.
+        let conv = SparseConv3d::with_random_weights("k21", 4, 3, 21, 1, 12);
+        let x = input(4);
+        let volume = conv.plan(x.coords(), 1, 4, &mut ctx()).unwrap().map().num_offsets();
+        assert_eq!(volume, 9261);
+        assert_eq!(ExactPath::select(true, volume), ExactPath::Superaccumulator);
+        assert_eq!(ExactPath::select(true, 27), ExactPath::Binary16Lanes);
+        assert_eq!(ExactPath::select(false, 27), ExactPath::Superaccumulator);
+        let mut reference: Option<Vec<u32>> = None;
+        for fused in [false, true] {
+            for threads in [1, 8] {
+                let mut cfg = OptimizationConfig::torchsparse();
+                cfg.precision = Precision::Fp16;
+                cfg.exact_accumulation = true;
+                cfg.fused_execution = fused;
+                cfg.threads = Some(threads);
+                let mut c = Context::new(cfg, DeviceProfile::rtx_2080ti());
+                let y = conv.forward(&x, &mut c).unwrap();
+                let bits: Vec<u32> = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
+                match &reference {
+                    None => reference = Some(bits),
+                    Some(r) => assert_eq!(r, &bits, "fused={fused} threads={threads}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn param_count() {
         let conv = SparseConv3d::with_random_weights("c", 4, 8, 3, 1, 9);
         assert_eq!(conv.param_count(), 27 * 4 * 8);

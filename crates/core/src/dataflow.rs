@@ -28,7 +28,7 @@ use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
 use torchsparse_gpusim::Precision as GemmPrecision;
 use torchsparse_gpusim::{AccessMode, ElemWidth, GemmShape, Stage};
-use torchsparse_tensor::accum::ExactAccumulator;
+use torchsparse_tensor::accum::{Binary16Lane, ExactAccumulator};
 use torchsparse_tensor::gemm::GemmOpts;
 use torchsparse_tensor::microkernel::{self, Kernel, PackedB};
 use torchsparse_tensor::{gemm, quant, Matrix};
@@ -457,43 +457,125 @@ fn gather_rows(
     pool.run(tasks);
 }
 
+/// How an exact-accumulation layer reduces its partial sums.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ExactPath {
+    /// Binary16 partial sums (FP16 and INT8 psum stores) of a kernel with
+    /// fewer than [`Binary16Lane::ADDEND_LIMIT`] offsets: one `f64` lane
+    /// per output element, exact by construction.
+    Binary16Lanes,
+    /// FP32 partial sums, or a kernel volume past the lane bound: the
+    /// 384-bit [`ExactAccumulator`].
+    Superaccumulator,
+}
+
+impl ExactPath {
+    /// The path for one layer. Each output element receives at most one
+    /// partial sum per kernel offset, so the kernel volume bounds the
+    /// addends per lane.
+    pub(crate) fn select(binary16_psums: bool, volume: usize) -> ExactPath {
+        if binary16_psums && volume < Binary16Lane::ADDEND_LIMIT {
+            ExactPath::Binary16Lanes
+        } else {
+            ExactPath::Superaccumulator
+        }
+    }
+}
+
 std::thread_local! {
     /// Per-worker superaccumulator grid for one output chunk of the exact
-    /// scatter (`rows_in_chunk x c_out` accumulators). Thread-local so the
-    /// persistent pool workers reach steady state with zero allocation.
+    /// reduction (`rows_in_chunk x c_out` accumulators). Thread-local so
+    /// the persistent pool workers reach steady state with zero
+    /// allocation.
     static EXACT_GRID: std::cell::RefCell<Vec<ExactAccumulator>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+    /// Per-worker `f64` lane grid: the [`ExactPath::Binary16Lanes`]
+    /// counterpart of [`EXACT_GRID`].
+    static LANE_GRID: std::cell::RefCell<Vec<Binary16Lane>> =
         const { std::cell::RefCell::new(Vec::new()) };
     /// Per-worker staging tile for the fused exact epilogue: the
     /// microkernel writes one offset batch's products here before they are
-    /// folded into the accumulator grid.
+    /// folded into the chunk's grid.
     static EXACT_TILE: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Reduces one output chunk through exact accumulators: seeds the grid with
-/// the chunk's current values (the zero init or the §4.2.1 center-shortcut
-/// GEMM result), folds in every partial-sum row the plan-time order assigns
-/// to the chunk, and writes back each element's single correctly rounded
-/// total. Addition into a superaccumulator is order-independent, so this
-/// produces identical bits no matter how chunks are scheduled — and
-/// identical bits to the fused epilogue, which feeds the same per-entry
-/// product values through the same accumulators.
+/// One output chunk's exact reduction state, borrowed from the worker's
+/// thread-local grid for the chunk's [`ExactPath`].
+enum ExactGrid<'a> {
+    Lanes(&'a mut [Binary16Lane]),
+    Super(&'a mut [ExactAccumulator]),
+}
+
+impl ExactGrid<'_> {
+    /// Folds one partial-sum row into the elements starting at `at`. The
+    /// `+ 0.0` canonicalizes a -0.0 partial sum to +0.0, exactly as the
+    /// fused route's zero-initialized staging tile does — keeping the two
+    /// routes' addend multisets bitwise equal.
+    #[inline]
+    fn fold(&mut self, at: usize, row: &[f32]) {
+        match self {
+            ExactGrid::Lanes(lanes) => {
+                for (lane, &v) in lanes[at..at + row.len()].iter_mut().zip(row) {
+                    lane.add(v + 0.0);
+                }
+            }
+            ExactGrid::Super(grid) => {
+                for (acc, &v) in grid[at..at + row.len()].iter_mut().zip(row) {
+                    acc.add(v + 0.0);
+                }
+            }
+        }
+    }
+}
+
+/// Reduces one output chunk exactly: `fold_all` folds every partial-sum
+/// row the chunk owns into the grid, then each element of `block` becomes
+/// the single correctly rounded sum of its current value (the zero init or
+/// the §4.2.1 center-shortcut GEMM result) and its folded addends. Both
+/// paths are order-independent, so the bits depend neither on how chunks
+/// are scheduled nor on which route produced the addends.
+fn reduce_exact_chunk(path: ExactPath, block: &mut [f32], fold_all: impl FnOnce(&mut ExactGrid)) {
+    match path {
+        ExactPath::Binary16Lanes => LANE_GRID.with(|cell| {
+            let mut lanes = cell.borrow_mut();
+            lanes.clear();
+            lanes.resize(block.len(), Binary16Lane::new());
+            fold_all(&mut ExactGrid::Lanes(&mut lanes));
+            for (dst, lane) in block.iter_mut().zip(lanes.iter()) {
+                *dst = lane.round_with(*dst);
+            }
+        }),
+        ExactPath::Superaccumulator => EXACT_GRID.with(|cell| {
+            let mut grid = cell.borrow_mut();
+            grid.clear();
+            grid.resize(block.len(), ExactAccumulator::new());
+            for (acc, &v) in grid.iter_mut().zip(block.iter()) {
+                acc.add(v);
+            }
+            fold_all(&mut ExactGrid::Super(&mut grid));
+            for (dst, acc) in block.iter_mut().zip(grid.iter()) {
+                *dst = acc.round();
+            }
+        }),
+    }
+}
+
+/// Reduces one output chunk of the unfused exact scatter: folds every
+/// partial-sum row the plan-time order assigns to chunk `c` through
+/// [`reduce_exact_chunk`] — the same addend multiset, on the same path, as
+/// the fused epilogue folds, so the two routes produce identical bits.
 fn exact_scatter_chunk(
     order: &FusedOrder,
     map: &KernelMap,
     psums: &[Option<Matrix>],
+    path: ExactPath,
     c: usize,
     c_out: usize,
     block: &mut [f32],
 ) {
-    EXACT_GRID.with(|cell| {
-        let mut grid = cell.borrow_mut();
-        grid.clear();
-        grid.resize(block.len(), ExactAccumulator::new());
-        for (acc, &v) in grid.iter_mut().zip(block.iter()) {
-            acc.add(v);
-        }
-        let base = (c * order.chunk_rows()) as u32;
+    let base = (c * order.chunk_rows()) as u32;
+    reduce_exact_chunk(path, block, |grid| {
         for (n, p) in psums.iter().enumerate() {
             let Some(p) = p else { continue };
             let view = order.view(map, n);
@@ -501,17 +583,8 @@ fn exact_scatter_chunk(
             let hi = order.starts(n)[c + 1] as usize;
             for (i, e) in view.entries[lo..hi].iter().enumerate() {
                 let src = view.producer(lo + i);
-                let rel = (e.output - base) as usize * c_out;
-                // `+ 0.0` canonicalizes a -0.0 partial sum to +0.0, exactly
-                // as the fused route's zero-initialized staging tile does —
-                // keeping the two routes' addend multisets bitwise equal.
-                for (acc, &v) in grid[rel..rel + c_out].iter_mut().zip(p.row(src as usize)) {
-                    acc.add(v + 0.0);
-                }
+                grid.fold((e.output - base) as usize * c_out, p.row(src as usize));
             }
-        }
-        for (dst, acc) in block.iter_mut().zip(grid.iter()) {
-            *dst = acc.round();
         }
     });
 }
@@ -519,18 +592,25 @@ fn exact_scatter_chunk(
 /// Scatter-accumulates every offset's partial sums into `out` (FP32
 /// accumulation registers).
 ///
-/// With exact accumulation on, output rows are partitioned into fixed
-/// [`MOVE_CHUNK`] blocks that reduce through per-chunk superaccumulator
-/// grids ([`exact_scatter_chunk`]) as pool tasks — each element becomes the
-/// correctly rounded sum of its producers, bitwise identical at any thread
-/// count *by arithmetic*, with no ordering constraint on the schedule.
+/// With exact accumulation on (`exact` is the layer's [`ExactPath`]),
+/// output rows are partitioned into fixed [`MOVE_CHUNK`] blocks that reduce
+/// as pool tasks through per-chunk grids ([`exact_scatter_chunk`]) — each
+/// element becomes the correctly rounded sum of its producers, bitwise
+/// identical at any thread count *by arithmetic*, with no ordering
+/// constraint on the schedule. FP16/INT8 partial sums are binary16 values:
+/// integer multiples of 2⁻²⁴ below 2¹⁶, at most one per kernel offset, so
+/// below 2¹³ offsets their sum — in any order — is an integer multiple of
+/// 2⁻²⁴ below 2²⁹, exact in a plain `f64` lane; one `f64` two-sum rounded
+/// to odd then folds in the f32 seed with a single correct rounding to
+/// `f32`. FP32 partial sums and larger kernels use the 384-bit
+/// superaccumulator. Both give the same bits.
 ///
-/// With exact accumulation off, the historical bits are preserved: serial
-/// (`threads == 1`) iterates offset-major exactly like the original engine,
-/// and the parallel path walks each chunk offset-major through the
-/// plan-time order — the same per-element `(offset, entry)`-ascending FP32
-/// addition order as the serial loop, so results still match serial bits at
-/// every pool width.
+/// With exact accumulation off (`None`), the historical bits are
+/// preserved: serial (`threads == 1`) iterates offset-major exactly like
+/// the original engine, and the parallel path walks each chunk
+/// offset-major through the plan-time order — the same per-element
+/// `(offset, entry)`-ascending FP32 addition order as the serial loop, so
+/// results still match serial bits at every pool width.
 ///
 /// `order` is the plan-time scatter metadata; `None` (hand-built workloads
 /// only) falls back to an on-the-spot build, counted by
@@ -542,13 +622,13 @@ fn scatter_accumulate(
     psums: &[Option<Matrix>],
     out: &mut Matrix,
     order: Option<&FusedOrder>,
-    exact: bool,
+    exact: Option<ExactPath>,
 ) {
     let c_out = out.cols();
     if out.rows() == 0 || c_out == 0 {
         return;
     }
-    if !exact && pool.threads() <= 1 && !pool.is_recording() {
+    if exact.is_none() && pool.threads() <= 1 && !pool.is_recording() {
         for (n, p) in psums.iter().enumerate() {
             let Some(p) = p else { continue };
             for (i, e) in map.entries(n).iter().enumerate() {
@@ -569,8 +649,8 @@ fn scatter_accumulate(
     };
     let chunk = order.chunk_rows();
     let run_chunk = |c: usize, block: &mut [f32]| {
-        if exact {
-            exact_scatter_chunk(order, map, psums, c, c_out, block);
+        if let Some(path) = exact {
+            exact_scatter_chunk(order, map, psums, path, c, c_out, block);
             return;
         }
         let base = (c * chunk) as u32;
@@ -675,6 +755,16 @@ fn is_center_shortcut(w: &ConvWorkload<'_>, offsets: &[usize], ctx: &Context) ->
     ctx.config.skip_center_movement && offsets.len() == 1 && Some(offsets[0]) == w.center_identity
 }
 
+/// The exact-accumulation path of one layer execution, or `None` with
+/// exact accumulation off. Chosen per call from the partial-sum format and
+/// the kernel volume — never a knob: the FP16-overflow fallback re-runs a
+/// planned layer with FP32 partial sums, which must take the
+/// superaccumulator.
+fn exact_path(ctx: &Context, map: &KernelMap, binary16_psums: bool) -> Option<ExactPath> {
+    crate::config::exact_accum_enabled(&ctx.config)
+        .then(|| ExactPath::select(binary16_psums, map.num_offsets()))
+}
+
 /// Executes the real numerics of one convolution through the fused
 /// gather–GEMM–scatter microkernel: kernel-map rows stream straight from
 /// `in_feats` through MR-row register tiles into `out`, with no gathered
@@ -686,19 +776,26 @@ fn is_center_shortcut(w: &ConvWorkload<'_>, offsets: &[usize], ctx: &Context) ->
 /// rounding of that product (the 16-bit psum store), then one FP32 add per
 /// entry with offsets ascending (the scatter) — so results are bitwise
 /// identical to the buffered path at any thread count. With exact
-/// accumulation on, each offset batch's products stage through a zeroed
-/// per-worker tile and fold into the chunk's superaccumulator grid, making
-/// the result the correctly rounded sum of the same addend multiset the
-/// unfused exact scatter reduces — bitwise equal across routes *and*
-/// schedules. Parallel tasks own disjoint output-row blocks of the order's
-/// chunk width; the partition never depends on the pool width.
+/// accumulation on (`exact` is the layer's [`ExactPath`]), each offset
+/// batch's products stage through a zeroed per-worker tile and fold into
+/// the chunk's exact grid ([`reduce_exact_chunk`]), making the result the
+/// correctly rounded sum of the same addend multiset the unfused exact
+/// scatter reduces — bitwise equal across routes *and* schedules. With
+/// `round_f16` the products are binary16 values: integer multiples of
+/// 2⁻²⁴ below 2¹⁶, at most one per kernel offset, so below 2¹³ offsets
+/// their sum — in any order — is an integer multiple of 2⁻²⁴ below 2²⁹,
+/// exact in a plain `f64` lane, and one `f64` two-sum rounded to odd folds
+/// in the f32 seed with a single correct rounding; unrounded (FP32)
+/// products and larger kernels fold through the 384-bit superaccumulator.
+/// Parallel tasks own disjoint output-row blocks of the order's chunk
+/// width; the partition never depends on the pool width.
 #[allow(clippy::too_many_arguments)]
 fn run_fused_numerics(
     w: &ConvWorkload<'_>,
     fused: &FusedOrder,
     shortcut: Option<usize>,
     round_f16: bool,
-    exact: bool,
+    exact: Option<ExactPath>,
     pool: &ThreadPool,
     kernel: Kernel,
     out: &mut Matrix,
@@ -729,16 +826,10 @@ fn run_fused_numerics(
         let base = (c * chunk) as u32;
         let mut in_rows = [0u32; MOVE_CHUNK];
         let mut out_rel = [0u32; MOVE_CHUNK];
-        if exact {
-            EXACT_GRID.with(|gcell| {
-                EXACT_TILE.with(|tcell| {
-                    let mut grid = gcell.borrow_mut();
-                    let mut tile = tcell.borrow_mut();
-                    grid.clear();
-                    grid.resize(block.len(), ExactAccumulator::new());
-                    for (acc, &v) in grid.iter_mut().zip(block.iter()) {
-                        acc.add(v);
-                    }
+        if let Some(path) = exact {
+            reduce_exact_chunk(path, block, |grid| {
+                EXACT_TILE.with(|cell| {
+                    let mut tile = cell.borrow_mut();
                     for n in 0..volume {
                         if Some(n) == shortcut {
                             continue;
@@ -746,10 +837,9 @@ fn run_fused_numerics(
                         let lo = fused.starts(n)[c] as usize;
                         let hi = fused.starts(n)[c + 1] as usize;
                         let entries = &fused.view(w.map, n).entries[lo..hi];
-                        let mut i = 0;
-                        while i < entries.len() {
-                            let cnt = (entries.len() - i).min(MOVE_CHUNK);
-                            for (j, e) in entries[i..i + cnt].iter().enumerate() {
+                        for batch in entries.chunks(MOVE_CHUNK) {
+                            let cnt = batch.len();
+                            for (j, e) in batch.iter().enumerate() {
                                 in_rows[j] = e.input;
                                 out_rel[j] = e.output - base;
                             }
@@ -766,18 +856,10 @@ fn run_fused_numerics(
                                 &mut tile,
                                 &IDENTITY[..cnt],
                             );
-                            for (j, &rel) in out_rel[..cnt].iter().enumerate() {
-                                let dst = rel as usize * c_out;
-                                let src = &tile[j * c_out..(j + 1) * c_out];
-                                for (acc, &v) in grid[dst..dst + c_out].iter_mut().zip(src) {
-                                    acc.add(v);
-                                }
+                            for (&rel, row) in out_rel[..cnt].iter().zip(tile.chunks(c_out)) {
+                                grid.fold(rel as usize * c_out, row);
                             }
-                            i += cnt;
                         }
-                    }
-                    for (dst, acc) in block.iter_mut().zip(grid.iter()) {
-                        *dst = acc.round();
                     }
                 });
             });
@@ -857,8 +939,10 @@ pub fn run_gather_matmul_scatter(
     // still running as one dense GEMM first. Grouping is bitwise-neutral
     // for numerics (bmm pad rows are zero and never scattered), so the
     // fused path ignores it; the simulated cost below still models the
-    // configured grouping/movement kernels either way.
-    let exact = crate::config::exact_accum_enabled(&ctx.config);
+    // configured grouping/movement kernels either way. Both routes store
+    // 16-bit partial sums outside FP32, which picks the exact path.
+    let binary16_psums = ctx.config.precision != Precision::Fp32;
+    let exact = exact_path(ctx, w.map, binary16_psums);
     let fused_order = if ctx.simulate_only || !fused_for(&ctx.config, w.policy.as_ref()) {
         None
     } else {
@@ -878,8 +962,7 @@ pub fn run_gather_matmul_scatter(
                 None => gemm::mm_into_with(&pool, w.in_feats, &w.weights[n0], &mut out, opts)?,
             }
         }
-        let round_f16 = ctx.config.precision != Precision::Fp32;
-        run_fused_numerics(w, order, shortcut, round_f16, exact, &pool, kernel, &mut out);
+        run_fused_numerics(w, order, shortcut, binary16_psums, exact, &pool, kernel, &mut out);
     }
     // Unfused route: gather per-offset feature matrices, run the (b)mm,
     // keep partial sums. Gather/psum buffers come from the context's
@@ -1233,7 +1316,7 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
     // `out` — no scratch buffers taken at all. Fetch-on-demand keeps its
     // partial sums in FP32 (no 16-bit psum store), hence `round_f16:
     // false`, and never uses the center shortcut.
-    let exact = crate::config::exact_accum_enabled(&ctx.config);
+    let exact = exact_path(ctx, w.map, false);
     let fused_order = if ctx.simulate_only || !fused_for(&ctx.config, w.policy.as_ref()) {
         None
     } else {
@@ -1248,7 +1331,7 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
     // per offset): reshape keeps the backing storage whenever capacity
     // suffices, and the buffers return to the workspace arena afterwards
     // for the next layer or forward pass.
-    let mut buffers = (run_numerics && !exact).then(|| {
+    let mut buffers = (run_numerics && exact.is_none()).then(|| {
         (ctx.runtime.workspaces.take(0, w.c_in()), ctx.runtime.workspaces.take(0, w.c_out()))
     });
     // Unfused route, exact accumulation on: partial sums are kept per
@@ -1257,7 +1340,7 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
     // the same addend multiset the fused route folds, so both routes round
     // to identical bits.
     let mut psums: Vec<Option<Matrix>> =
-        if run_numerics && exact { vec![None; w.map.num_offsets()] } else { Vec::new() };
+        if run_numerics && exact.is_some() { vec![None; w.map.num_offsets()] } else { Vec::new() };
 
     for n in 0..w.map.num_offsets() {
         let entries = w.map.entries(n);
@@ -1281,7 +1364,7 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
                 let dst = out.row_mut(e.output as usize);
                 microkernel::accumulate_row(kernel, dst, psum.row(i));
             }
-        } else if run_numerics && exact {
+        } else if run_numerics && exact.is_some() {
             let mut f = ctx.runtime.workspaces.take(entries.len(), w.c_in());
             gather_rows(&pool, kernel, w.in_feats, entries, &mut f);
             let mut p = ctx.runtime.workspaces.take(entries.len(), w.c_out());
@@ -1309,8 +1392,8 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
         ctx.runtime.workspaces.give(scratch);
         ctx.runtime.workspaces.give(psum);
     }
-    if run_numerics && exact {
-        scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused, true);
+    if run_numerics && exact.is_some() {
+        scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused, exact);
         for p in psums.drain(..).flatten() {
             ctx.runtime.workspaces.give(p);
         }

@@ -25,24 +25,40 @@
 //!   ([`ExactAccumulator::round`]) is correctly rounded
 //!   (round-to-nearest, ties-to-even). This is what makes the parallel
 //!   scatter deterministic at any thread count.
+//! - [`Binary16Lane`]: the same exact, order-independent sum for the
+//!   common case of *binary16-valued* addends, held in one plain `f64`
+//!   (8 bytes instead of 56, one add per addend instead of a multi-limb
+//!   carry chain). [`Binary16Lane::round_with`] folds in an arbitrary
+//!   `f32` seed and returns bits identical to an [`ExactAccumulator`] fed
+//!   the seed and the same addends.
 //!
 //! # Precision paths
 //!
 //! The engine stores features in FP32, FP16, or INT8, but *accumulates* in
-//! FP32 in every mode (tensor-core semantics; §4.3.1 of the paper):
+//! FP32 in every mode (tensor-core semantics; §4.3.1 of the paper). Each
+//! output element receives one f32 *seed* (zero, or the §4.2.1 center
+//! shortcut's GEMM result) plus at most one partial sum per kernel offset:
 //!
 //! - **FP32**: partial sums are arbitrary finite `f32`s; the
 //!   superaccumulator sums them exactly.
-//! - **FP16**: partial sums are f16-rounded before accumulation (the
-//!   16-bit psum store). Every binary16 value is exactly representable in
-//!   `f32`, so the same exact f32 sum applies unchanged — the 16-bit
-//!   rounding of the *addends* is preserved bit for bit and only the
-//!   *reduction* becomes order-free.
-//! - **INT8**: quantized values are dequantized to exact small `f32`
-//!   multiples of the scale; their products and sums are ordinary `f32`
-//!   values and take the same path. (A dedicated integer accumulator is
-//!   unnecessary: the superaccumulator *is* an integer accumulator, in
-//!   units of 2⁻¹⁴⁹.)
+//! - **FP16 and INT8**: partial sums are f16-rounded before accumulation
+//!   (the 16-bit psum store; INT8 dequantizes into the same FP16-class
+//!   psums). Every finite binary16 value is an integer multiple of 2⁻²⁴
+//!   with magnitude below 2¹⁶, so fewer than
+//!   [`Binary16Lane::ADDEND_LIMIT`] = 2¹³ of them sum to an integer
+//!   multiple of 2⁻²⁴ below 2²⁹ in magnitude — and so does every partial
+//!   sum on the way, in any order. All of those are exactly representable
+//!   in `f64` (53-bit significand), so plain `f64` addition never rounds:
+//!   the lane is exact and order-independent by construction. Infinities
+//!   and NaN propagate through `f64` addition the same way in every order.
+//!   The final combine with the seed is one error-free `f64` two-sum,
+//!   rounded to odd (Boldo–Melquiond) and converted to `f32`: rounding to
+//!   odd at 53 bits preserves every tie and sticky bit the 24-bit
+//!   round-to-nearest-even needs, so the double rounding is innocuous and
+//!   the result is the correctly rounded `f32` of the exact total. The
+//!   engine picks this path per layer from the partial-sum format and the
+//!   kernel volume (the bound on addends per element); FP32 partial sums
+//!   and kernels of 2¹³ or more offsets keep the superaccumulator.
 //!
 //! # Special values
 //!
@@ -406,6 +422,106 @@ pub fn exact_sum(values: &[f32]) -> f32 {
     acc.round()
 }
 
+/// An exact, order-independent sum of *binary16-valued* addends in one
+/// `f64`: the cheap path to [`ExactAccumulator`]'s bits when every addend
+/// is an f16-rounded value.
+///
+/// Every finite binary16 value is an integer multiple of 2⁻²⁴ below 2¹⁶
+/// in magnitude, so any sum of fewer than [`ADDEND_LIMIT`] of them — and
+/// every intermediate sum, in any order — is a multiple of 2⁻²⁴ below 2²⁹,
+/// exactly representable in `f64`. Plain `f64` addition therefore never
+/// rounds here. Non-finite addends propagate as IEEE addition propagates
+/// them, identically in every order: NaN (or +∞ with −∞) poisons the
+/// lane, a lone infinity wins. The lane starts at −0.0, so it stays −0.0
+/// exactly when every addend was −0.0 — the signed-zero rule
+/// [`ExactAccumulator`] tracks by flag.
+///
+/// The caller guarantees the addend contract (binary16 values, fewer than
+/// [`ADDEND_LIMIT`] per lane); outside it the lane silently rounds.
+///
+/// ```
+/// use torchsparse_tensor::accum::{exact_sum, Binary16Lane};
+///
+/// // Binary16 values: the f16 maximum, the smallest f16 subnormal, ...
+/// let addends = [65504.0_f32, 2.0f32.powi(-24), -65504.0, 0.5];
+/// let mut lane = Binary16Lane::new();
+/// for v in addends {
+///     lane.add(v);
+/// }
+/// let seed = 3.0e7_f32;
+/// let mut all = vec![seed];
+/// all.extend(addends);
+/// assert_eq!(lane.round_with(seed).to_bits(), exact_sum(&all).to_bits());
+/// ```
+///
+/// [`ADDEND_LIMIT`]: Binary16Lane::ADDEND_LIMIT
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(transparent)]
+pub struct Binary16Lane(f64);
+
+impl Default for Binary16Lane {
+    fn default() -> Binary16Lane {
+        Binary16Lane::new()
+    }
+}
+
+impl Binary16Lane {
+    /// Exclusive bound on addends per lane: `n < 2¹³` binary16 values of
+    /// magnitude at most 65504 = (2¹¹ − 1)·2⁵ sum to below 2²⁹, i.e. to an
+    /// integer count of 2⁻²⁴ units below 2⁵³ — `f64`'s exact-integer range.
+    pub const ADDEND_LIMIT: usize = 1 << 13;
+
+    /// An empty lane (−0.0).
+    #[must_use]
+    pub const fn new() -> Binary16Lane {
+        Binary16Lane(-0.0)
+    }
+
+    /// Adds one binary16-valued addend exactly.
+    #[inline]
+    pub fn add(&mut self, v: f32) {
+        self.0 += f64::from(v);
+    }
+
+    /// The correctly rounded `f32` of `seed` plus this lane's exact sum —
+    /// bitwise equal to [`ExactAccumulator::round`] after adding `seed`
+    /// and the lane's addends, for any `f32` seed.
+    ///
+    /// An `f64` two-sum splits `seed + lane` into its rounded value and
+    /// exact error; rounding to odd on the error's sign (Boldo–Melquiond)
+    /// keeps every tie and sticky bit the 24-bit round-to-nearest-even
+    /// needs (53 ≥ 24 + 2), so the final `f64 -> f32` conversion rounds
+    /// correctly, overflowing to ±∞ exactly where it must. NaN results
+    /// become the canonical [`f32::NAN`].
+    #[must_use]
+    pub fn round_with(self, seed: f32) -> f32 {
+        let a = f64::from(seed);
+        let b = self.0;
+        let s = a + b;
+        if s.is_nan() {
+            return f32::NAN;
+        }
+        if s.is_infinite() {
+            // Finite inputs are below 2¹²⁸ and 2²⁹, so only an infinite
+            // input gets here.
+            return s as f32;
+        }
+        let b_virtual = s - a;
+        let a_virtual = s - b_virtual;
+        let err = (a - a_virtual) + (b - b_virtual);
+        let bits = s.to_bits();
+        let odd = if err == 0.0 || bits & 1 == 1 {
+            bits
+        } else if (err > 0.0) == (s > 0.0) {
+            // The exact sum lies above |s|: step the magnitude up one ulp.
+            bits + 1
+        } else {
+            bits - 1
+        };
+        f64::from_bits(odd) as f32
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,6 +675,207 @@ mod tests {
         for vals in cases {
             let exact: f64 = vals.iter().map(|&v| f64::from(v)).sum();
             assert_eq!(bits(exact_sum(vals)), bits(exact as f32), "{vals:?}");
+        }
+    }
+
+    /// The reference: an [`ExactAccumulator`] fed the seed and addends.
+    fn superaccumulated(seed: f32, addends: &[f32]) -> f32 {
+        let mut acc = ExactAccumulator::new();
+        acc.add(seed);
+        for &v in addends {
+            acc.add(v);
+        }
+        acc.round()
+    }
+
+    fn lane_folded(seed: f32, addends: &[f32]) -> f32 {
+        let mut lane = Binary16Lane::new();
+        for &v in addends {
+            lane.add(v);
+        }
+        lane.round_with(seed)
+    }
+
+    fn f16(bits: u16) -> f32 {
+        crate::half::Half::from_bits(bits).to_f32()
+    }
+
+    #[test]
+    fn lane_exact_just_below_the_addend_limit() {
+        // 8191 * 65504 + 2^-24 needs all 53 bits of the lane; cancelling
+        // the big part against the seed exposes the lowest one.
+        let n = Binary16Lane::ADDEND_LIMIT - 1;
+        let mut addends = vec![65504.0_f32; n - 1];
+        addends.push(2.0f32.powi(-24));
+        let seed = -(65504.0 * (n - 1) as f32);
+        assert_eq!(f64::from(seed), -65504.0 * (n - 1) as f64, "seed is exact");
+        assert_eq!(bits(lane_folded(seed, &addends)), bits(2.0f32.powi(-24)));
+        assert_eq!(bits(lane_folded(seed, &addends)), bits(superaccumulated(seed, &addends)));
+    }
+
+    #[test]
+    fn lane_special_values_and_zeros() {
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        let cases: &[(f32, &[f32])] = &[
+            (-0.0, &[]),
+            (0.0, &[]),
+            (-0.0, &[-0.0, -0.0]),
+            (0.0, &[-0.0]),
+            (-0.0, &[-0.0, 0.0]),
+            (-0.0, &[1.0, -1.0]),
+            (1.0, &[-1.0, -0.0]),
+            (nan, &[1.0]),
+            (1.0, &[nan]),
+            (inf, &[-inf]),
+            (1.0, &[inf, -inf]),
+            (-inf, &[65504.0]),
+            (f32::MAX, &[inf]),
+            (f32::MIN, &[-65504.0]),
+            (f32::from_bits(1), &[-0.0]),
+            (-f32::from_bits(1), &[2.0f32.powi(-24), -2.0f32.powi(-24)]),
+        ];
+        for &(seed, addends) in cases {
+            assert_eq!(
+                bits(lane_folded(seed, addends)),
+                bits(superaccumulated(seed, addends)),
+                "seed {seed:e} addends {addends:?}"
+            );
+        }
+        assert_eq!(bits(lane_folded(-0.0, &[-0.0])), bits(-0.0));
+    }
+
+    #[test]
+    fn lane_combine_rounds_ties_to_even_and_overflows() {
+        // Seed 2^24 + 2k plus the half-ulp 1.0: a tie, resolved to even.
+        let big = (1u32 << 24) as f32;
+        assert_eq!(lane_folded(big, &[1.0]), big);
+        assert_eq!(lane_folded(big + 2.0, &[1.0]), big + 4.0);
+        // A sticky bit below the half-ulp breaks the tie upward.
+        assert_eq!(lane_folded(big, &[1.0, 2.0f32.powi(-24)]), big + 2.0);
+        assert_eq!(lane_folded(-big, &[-1.0, -2.0f32.powi(-24)]), -big - 2.0);
+        // The combine rounds correctly for any f64-exact lane, so it also
+        // overflows exactly where the superaccumulator does.
+        let half_ulp_max = 2.0f32.powi(103);
+        for lane in [half_ulp_max, half_ulp_max * 0.5] {
+            assert_eq!(
+                bits(Binary16Lane(f64::from(lane)).round_with(f32::MAX)),
+                bits(exact_sum(&[f32::MAX, lane])),
+            );
+        }
+    }
+
+    /// Decodes `(bits, selector)` pairs into binary16 addends: mostly
+    /// finite values (subnormals included, about one in 32), with the
+    /// non-finite ones kept out unless `allow_specials` so most cases
+    /// exercise the exact-arithmetic path.
+    fn decode_binary16(raw: &[(u16, u8)], allow_specials: bool) -> Vec<f32> {
+        const SPECIALS: [u16; 8] = [0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0x7BFF, 0x0001, 0x8400];
+        raw.iter()
+            .map(|&(b, sel)| {
+                if allow_specials && sel == 0 {
+                    f16(SPECIALS[usize::from(b) % SPECIALS.len()])
+                } else if b & 0x7C00 == 0x7C00 {
+                    // Infinity or NaN: drop one exponent bit to stay finite.
+                    f16(b ^ 0x4000)
+                } else {
+                    f16(b)
+                }
+            })
+            .collect()
+    }
+
+    /// Seeds: arbitrary f32 bit patterns, with one in four a hand-picked
+    /// edge (signed zeros, infinities, NaN, f32 subnormals, +-MAX).
+    fn decode_seed(bits: u32, sel: u8) -> f32 {
+        const SEEDS: [f32; 10] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            1.0e-45,
+            -1.1e-38,
+        ];
+        if sel == 0 {
+            SEEDS[bits as usize % SEEDS.len()]
+        } else {
+            f32::from_bits(bits)
+        }
+    }
+
+    /// Deterministic in-place shuffle.
+    fn shuffle(values: &mut [f32], mut state: u64) {
+        for i in (1..values.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Lane fold + combine is bitwise equal to the superaccumulator for
+        /// any f32 seed and up to 125 binary16 addends, in any order.
+        #[test]
+        fn prop_lane_matches_superaccumulator(
+            raw in proptest::collection::vec((0u16..u16::MAX, 0u8..5), 0..126),
+            seed_bits in 0u32..u32::MAX,
+            seed_sel in 0u8..4,
+            specials in 0u8..4,
+            order in 1u64..u64::MAX,
+        ) {
+            let seed = decode_seed(seed_bits, seed_sel);
+            let mut addends = decode_binary16(&raw, specials == 0);
+            let want = bits(superaccumulated(seed, &addends));
+            proptest::prop_assert_eq!(bits(lane_folded(seed, &addends)), want);
+            shuffle(&mut addends, order);
+            proptest::prop_assert_eq!(bits(lane_folded(seed, &addends)), want);
+        }
+
+        /// Ties: a seed with a random 24-bit significand plus exactly half
+        /// its ulp (a binary16 value), buried among cancelling pairs.
+        /// Round-half-even must pick the even neighbour.
+        #[test]
+        fn prop_lane_ties_round_half_even(
+            mantissa in 0u32..(1 << 23),
+            exponent in 0i32..40,
+            negative in 0u8..2,
+            noise in proptest::collection::vec(0u16..0x7C00, 0..40),
+            order in 1u64..u64::MAX,
+        ) {
+            let sign = if negative == 1 { -1.0 } else { 1.0 };
+            let seed_mag = f64::from((1 << 23) | mantissa) * 2f64.powi(exponent - 23);
+            let seed = (sign * seed_mag) as f32;
+            let half_ulp = (sign * 2f64.powi(exponent - 24)) as f32;
+            let mut addends = vec![half_ulp];
+            for &b in &noise {
+                addends.push(f16(b));
+                addends.push(-f16(b));
+            }
+            shuffle(&mut addends, order);
+            let want = superaccumulated(seed, &addends);
+            let even = if mantissa & 1 == 0 { seed } else { seed + 2.0 * half_ulp };
+            proptest::prop_assert_eq!(bits(want), bits(even));
+            proptest::prop_assert_eq!(bits(lane_folded(seed, &addends)), bits(want));
+        }
+    }
+
+    #[test]
+    fn lane_all_negative_zero_sums_in_any_count() {
+        for n in [0, 1, 2, 125] {
+            let addends = vec![-0.0_f32; n];
+            for seed in [-0.0_f32, 0.0] {
+                assert_eq!(
+                    bits(lane_folded(seed, &addends)),
+                    bits(superaccumulated(seed, &addends)),
+                    "{n} addends, seed {seed}"
+                );
+            }
         }
     }
 }
