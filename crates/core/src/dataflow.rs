@@ -565,6 +565,12 @@ fn reduce_exact_chunk(path: ExactPath, block: &mut [f32], fold_all: impl FnOnce(
 /// partial-sum row the plan-time order assigns to chunk `c` through
 /// [`reduce_exact_chunk`] — the same addend multiset, on the same path, as
 /// the fused epilogue folds, so the two routes produce identical bits.
+/// FP16/INT8 partial sums are binary16 values: integer multiples of 2⁻²⁴
+/// below 2¹⁶, at most one per kernel offset, so below 2¹³ offsets their
+/// sum — in any order — is an integer multiple of 2⁻²⁴ below 2²⁹, exact in
+/// a plain `f64` lane, and one `f64` two-sum rounded to odd folds in the
+/// f32 seed with a single correct rounding. FP32 partial sums and larger
+/// kernels reduce through the 384-bit superaccumulator.
 fn exact_scatter_chunk(
     order: &FusedOrder,
     map: &KernelMap,

@@ -839,12 +839,16 @@ mod tests {
 
         /// Ties: a seed with a random 24-bit significand plus exactly half
         /// its ulp (a binary16 value), buried among cancelling pairs.
-        /// Round-half-even must pick the even neighbour.
+        /// Round-half-even must pick the even neighbour — unless a 2^-24
+        /// sticky addend breaks the tie. Past a seed exponent of about 29
+        /// the sticky bit falls below the `f64` sum's last bit, so only
+        /// the round-to-odd step keeps it.
         #[test]
         fn prop_lane_ties_round_half_even(
             mantissa in 0u32..(1 << 23),
             exponent in 0i32..40,
             negative in 0u8..2,
+            sticky in 0u8..3,
             noise in proptest::collection::vec(0u16..0x7C00, 0..40),
             order in 1u64..u64::MAX,
         ) {
@@ -852,15 +856,27 @@ mod tests {
             let seed_mag = f64::from((1 << 23) | mantissa) * 2f64.powi(exponent - 23);
             let seed = (sign * seed_mag) as f32;
             let half_ulp = (sign * 2f64.powi(exponent - 24)) as f32;
+            let tiny = sign as f32 * 2.0f32.powi(-24);
             let mut addends = vec![half_ulp];
+            match sticky {
+                1 => addends.push(tiny),
+                2 => addends.push(-tiny),
+                _ => {}
+            }
             for &b in &noise {
                 addends.push(f16(b));
                 addends.push(-f16(b));
             }
             shuffle(&mut addends, order);
             let want = superaccumulated(seed, &addends);
-            let even = if mantissa & 1 == 0 { seed } else { seed + 2.0 * half_ulp };
-            proptest::prop_assert_eq!(bits(want), bits(even));
+            let away = seed + 2.0 * half_ulp;
+            let expected = match sticky {
+                1 => away,
+                2 => seed,
+                _ if mantissa & 1 == 0 => seed,
+                _ => away,
+            };
+            proptest::prop_assert_eq!(bits(want), bits(expected));
             proptest::prop_assert_eq!(bits(lane_folded(seed, &addends)), bits(want));
         }
     }
