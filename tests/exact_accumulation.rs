@@ -7,153 +7,65 @@
 //! the fused/unfused executors *by arithmetic* — no ordering discipline
 //! required. With it off, the engine must reproduce the historical
 //! serial-order bits (the pre-superaccumulator contract) at every thread
-//! count. The property tests at the bottom pin the accumulator itself:
-//! permutation invariance, split/merge invariance, and correct rounding
-//! against an exact integer reference, including NaN/±0/overflow edges.
+//! count. Both modes are checked against the FNV-1a digests pinned in
+//! `tests/common`. The property tests at the bottom pin the accumulator
+//! itself: permutation invariance, split/merge invariance, and correct
+//! rounding against an exact integer reference, including NaN/±0/overflow
+//! edges.
 
-use proptest::prelude::*;
-use torchsparse::coords::Coord;
-use torchsparse::core::{
-    BatchNorm, Engine, EnginePreset, Module, OptimizationConfig, Precision, ReLU, Sequential,
-    SparseConv3d, SparseTensor,
+mod common;
+
+use common::{
+    dataflow_configs, fixture, fnv1a, forced_exact_mode, model, output_bits, pinned, tensor_from,
+    THREADS,
 };
+use proptest::prelude::*;
+use torchsparse::core::{Engine, EnginePreset, Precision, SimdPolicy};
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::tensor::accum::{exact_sum, ExactAccumulator};
-use torchsparse::tensor::Matrix;
-
-/// Worker counts every configuration is checked at.
-const THREADS: [usize; 3] = [1, 2, 8];
-
-fn tensor_from(sites: &[(i32, i32, i32)], c: usize, seed: u64) -> SparseTensor {
-    let mut dedup: Vec<(i32, i32, i32)> = sites.to_vec();
-    dedup.sort_unstable();
-    dedup.dedup();
-    let coords: Vec<Coord> = dedup.iter().map(|&(x, y, z)| Coord::new(0, x, y, z)).collect();
-    let feats = Matrix::from_fn(coords.len(), c, |r, ch| {
-        let v = (r as u64).wrapping_mul(0x9E37_79B9).wrapping_add(ch as u64).wrapping_mul(seed | 1);
-        ((v % 1000) as f32 - 500.0) / 250.0
-    });
-    SparseTensor::new(coords, feats).expect("valid tensor")
-}
-
-/// A small net covering submanifold, strided, and channel-changing convs.
-fn model(c: usize, seed: u64) -> Sequential {
-    Sequential::new("net")
-        .push(SparseConv3d::with_random_weights("conv1", c, 8, 3, 1, seed))
-        .push(BatchNorm::identity("bn", 8))
-        .push(ReLU::new("act"))
-        .push(SparseConv3d::with_random_weights("down", 8, 8, 2, 2, seed + 1))
-        .push(SparseConv3d::with_random_weights("conv2", 8, c, 3, 1, seed + 2))
-}
-
-/// The three dataflow configurations of the engine: grouped
-/// gather-matmul-scatter (TorchSparse), ungrouped per-offset baseline, and
-/// fetch-on-demand (forced by an infinite threshold).
-fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
-    let grouped = EnginePreset::TorchSparse.config();
-    let separate = EnginePreset::BaselineFp32.config();
-    let mut fod = EnginePreset::BaselineFp32.config();
-    fod.fetch_on_demand_below = Some(usize::MAX);
-    vec![("grouped", grouped), ("separate", separate), ("fetch-on-demand", fod)]
-}
-
-fn output_bits<M: Module>(
-    mut cfg: OptimizationConfig,
-    threads: usize,
-    m: &M,
-    x: &SparseTensor,
-) -> (Vec<Coord>, Vec<u32>) {
-    cfg.threads = Some(threads);
-    let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-    let y = engine.run(m, x).expect("run succeeds");
-    let bits = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
-    (y.coords().to_vec(), bits)
-}
-
-/// The `TORCHSPARSE_EXACT_ACCUM` override, when set, wins over the
-/// `exact_accumulation` field these tests pin — the mode a test targets is
-/// only actually running when the variable agrees or is unset.
-fn forced_exact_mode() -> Option<bool> {
-    let raw = std::env::var("TORCHSPARSE_EXACT_ACCUM").ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => Some(false),
-        "on" | "1" | "true" => Some(true),
-        _ => None,
-    }
-}
 
 /// Exact accumulation on: 1/2/8 threads x 3 dataflows x 3 precisions x
-/// fused/unfused all produce identical bits — the acceptance sweep of the
+/// fused/unfused all hit the pinned digest — the acceptance sweep of the
 /// order-independent determinism contract.
 #[test]
 fn exact_on_bitwise_identical_across_threads_dataflows_precisions_routes() {
     if forced_exact_mode() == Some(false) {
         return; // this suite run is explicitly exercising the serial-order path
     }
-    let sites: Vec<(i32, i32, i32)> =
-        (0..300).map(|i| ((i * 7) % 21 - 10, (i * 13) % 17 - 8, (i * 5) % 15 - 7)).collect();
-    let x = tensor_from(&sites, 4, 61);
-    let m = model(4, 61);
+    let (x, m) = fixture();
     for (dataflow, cfg) in dataflow_configs() {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-            let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
+            let digest = pinned(dataflow, precision, true);
             for fused in [false, true] {
                 for threads in THREADS {
                     let mut cfg = cfg.clone();
                     cfg.precision = precision;
                     cfg.fused_execution = fused;
                     cfg.exact_accumulation = true;
-                    let out = output_bits(cfg, threads, &m, &x);
-                    match &reference {
-                        None => reference = Some(out),
-                        Some(r) => assert_eq!(
-                            r, &out,
-                            "{dataflow} @ {precision:?} diverges with fused={fused} at \
-                             {threads} threads under exact accumulation"
-                        ),
-                    }
+                    let (_, bits) = output_bits(cfg, threads, &m, &x);
+                    assert_eq!(
+                        fnv1a(&bits),
+                        digest,
+                        "{dataflow} @ {precision:?} with fused={fused} at {threads} threads: \
+                         exact-on output bits changed"
+                    );
                 }
             }
         }
     }
 }
 
-/// FNV-1a (64-bit) over the little-endian bytes of a run's output bits.
-fn fnv1a(bits: &[u32]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bits.iter().flat_map(|v| v.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// The 16-bit precisions' exact-on output bits, pinned as digests of the
-/// sweep fixture above. Both routes must hit them: once fused and unfused
-/// share one reduction, their agreement alone cannot catch a change that
-/// makes both agree on wrong bits — these digests can.
+/// The 16-bit precisions' exact-on output bits at 1 thread, on both
+/// routes: these digests predate the binary16-lane reduction and must
+/// never move.
 #[test]
 fn exact_on_fp16_int8_bits_match_pinned_digests() {
     if forced_exact_mode() == Some(false) {
         return; // this suite run is explicitly exercising the serial-order path
     }
-    const PINNED: [(&str, Precision, u64); 6] = [
-        ("grouped", Precision::Fp16, 0x0f6a_6593_7437_58c6),
-        ("grouped", Precision::Int8, 0x790d_bf73_795f_61fb),
-        ("separate", Precision::Fp16, 0xdb06_752c_e323_cba2),
-        ("separate", Precision::Int8, 0x05a6_f52c_512b_7720),
-        ("fetch-on-demand", Precision::Fp16, 0xd840_554d_77d1_a6af),
-        ("fetch-on-demand", Precision::Int8, 0xaa21_a879_65fe_7a75),
-    ];
-    let sites: Vec<(i32, i32, i32)> =
-        (0..300).map(|i| ((i * 7) % 21 - 10, (i * 13) % 17 - 8, (i * 5) % 15 - 7)).collect();
-    let x = tensor_from(&sites, 4, 61);
-    let m = model(4, 61);
+    let (x, m) = fixture();
     for (dataflow, cfg) in dataflow_configs() {
-        for (name, precision, digest) in PINNED {
-            if name != dataflow {
-                continue;
-            }
+        for precision in [Precision::Fp16, Precision::Int8] {
             for fused in [false, true] {
                 let mut cfg = cfg.clone();
                 cfg.precision = precision;
@@ -162,7 +74,7 @@ fn exact_on_fp16_int8_bits_match_pinned_digests() {
                 let (_, bits) = output_bits(cfg, 1, &m, &x);
                 assert_eq!(
                     fnv1a(&bits),
-                    digest,
+                    pinned(dataflow, precision, true),
                     "{dataflow} @ {precision:?} with fused={fused}: output bits changed"
                 );
             }
@@ -170,40 +82,33 @@ fn exact_on_fp16_int8_bits_match_pinned_digests() {
     }
 }
 
-/// Exact accumulation off: every thread count and route reproduces the
-/// historical serial-order bits — the 1-thread unfused engine runs the
-/// byte-for-byte pre-superaccumulator scatter, and everything else must
-/// match it exactly as it did before this layer existed.
+/// Exact accumulation off: every thread count, SIMD policy and route
+/// reproduces the historical serial-order bits, pinned as digests.
 #[test]
 fn exact_off_reproduces_historical_serial_order_bits() {
     if forced_exact_mode() == Some(true) {
         return; // this suite run is explicitly exercising the exact path
     }
-    let sites: Vec<(i32, i32, i32)> =
-        (0..300).map(|i| ((i * 11) % 21 - 10, (i * 3) % 17 - 8, (i * 9) % 15 - 7)).collect();
-    let x = tensor_from(&sites, 4, 67);
-    let m = model(4, 67);
+    let (x, m) = fixture();
     for (dataflow, cfg) in dataflow_configs() {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-            // The 1-thread unfused run takes the historical serial
-            // offset-major scatter loop, untouched by this PR.
-            let mut serial_cfg = cfg.clone();
-            serial_cfg.precision = precision;
-            serial_cfg.fused_execution = false;
-            serial_cfg.exact_accumulation = false;
-            let reference = output_bits(serial_cfg.clone(), 1, &m, &x);
-            for fused in [false, true] {
-                for threads in THREADS {
-                    let mut cfg = cfg.clone();
-                    cfg.precision = precision;
-                    cfg.fused_execution = fused;
-                    cfg.exact_accumulation = false;
-                    let out = output_bits(cfg, threads, &m, &x);
-                    assert_eq!(
-                        reference, out,
-                        "{dataflow} @ {precision:?} with fused={fused} at {threads} threads \
-                         must reproduce the historical serial-order bits"
-                    );
+            let digest = pinned(dataflow, precision, false);
+            for simd in [SimdPolicy::Scalar, SimdPolicy::Portable, SimdPolicy::Auto] {
+                for fused in [false, true] {
+                    for threads in THREADS {
+                        let mut cfg = cfg.clone();
+                        cfg.precision = precision;
+                        cfg.simd = simd;
+                        cfg.fused_execution = fused;
+                        cfg.exact_accumulation = false;
+                        let (_, bits) = output_bits(cfg, threads, &m, &x);
+                        assert_eq!(
+                            fnv1a(&bits),
+                            digest,
+                            "{dataflow} @ {precision:?}/{simd:?} with fused={fused} at \
+                             {threads} threads must reproduce the historical serial-order bits"
+                        );
+                    }
                 }
             }
         }

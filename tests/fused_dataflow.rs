@@ -1,66 +1,16 @@
 //! The fused gather–GEMM–scatter executor must be invisible in the
 //! results: for every dataflow, storage precision, SIMD policy, and worker
-//! count, running with `fused_execution` on is bitwise identical to the
-//! materialized gather/psum buffer path — while taking no movement
+//! count, running with `fused_execution` on or off hits the output digests
+//! pinned in `tests/common` — while the fused route takes no movement
 //! workspace buffers at all.
 
-use torchsparse::coords::Coord;
-use torchsparse::core::{
-    BatchNorm, Engine, EnginePreset, Module, OptimizationConfig, Precision, ReLU, Sequential,
-    SimdPolicy, SparseConv3d, SparseTensor,
+mod common;
+
+use common::{
+    dataflow_configs, fixture, fnv1a, forced_exact_mode, model, output_bits, pinned, tensor_from,
 };
+use torchsparse::core::{Engine, Precision, SimdPolicy};
 use torchsparse::gpusim::DeviceProfile;
-use torchsparse::tensor::Matrix;
-
-/// Worker counts every configuration is checked at; `1` is the exact
-/// serial engine the others must match bit for bit.
-const THREADS: [usize; 3] = [1, 2, 8];
-
-fn tensor_from(sites: &[(i32, i32, i32)], c: usize, seed: u64) -> SparseTensor {
-    let mut dedup: Vec<(i32, i32, i32)> = sites.to_vec();
-    dedup.sort_unstable();
-    dedup.dedup();
-    let coords: Vec<Coord> = dedup.iter().map(|&(x, y, z)| Coord::new(0, x, y, z)).collect();
-    let feats = Matrix::from_fn(coords.len(), c, |r, ch| {
-        let v = (r as u64).wrapping_mul(0x9E37_79B9).wrapping_add(ch as u64).wrapping_mul(seed | 1);
-        ((v % 1000) as f32 - 500.0) / 250.0
-    });
-    SparseTensor::new(coords, feats).expect("valid tensor")
-}
-
-/// A small net covering submanifold, strided, and channel-changing convs.
-fn model(c: usize, seed: u64) -> Sequential {
-    Sequential::new("net")
-        .push(SparseConv3d::with_random_weights("conv1", c, 8, 3, 1, seed))
-        .push(BatchNorm::identity("bn", 8))
-        .push(ReLU::new("act"))
-        .push(SparseConv3d::with_random_weights("down", 8, 8, 2, 2, seed + 1))
-        .push(SparseConv3d::with_random_weights("conv2", 8, c, 3, 1, seed + 2))
-}
-
-/// The three dataflow configurations of the engine: grouped
-/// gather-matmul-scatter (TorchSparse), ungrouped per-offset baseline, and
-/// fetch-on-demand (forced by an infinite threshold).
-fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
-    let grouped = EnginePreset::TorchSparse.config();
-    let separate = EnginePreset::BaselineFp32.config();
-    let mut fod = EnginePreset::BaselineFp32.config();
-    fod.fetch_on_demand_below = Some(usize::MAX);
-    vec![("grouped", grouped), ("separate", separate), ("fetch-on-demand", fod)]
-}
-
-fn output_bits<M: Module>(
-    mut cfg: OptimizationConfig,
-    threads: usize,
-    m: &M,
-    x: &SparseTensor,
-) -> (Vec<Coord>, Vec<u32>) {
-    cfg.threads = Some(threads);
-    let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-    let y = engine.run(m, x).expect("run succeeds");
-    let bits = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
-    (y.coords().to_vec(), bits)
-}
 
 /// Whether the `TORCHSPARSE_FUSED` environment override is forcing the
 /// unfused path (the verify recipe's A/B suite does this), which makes
@@ -70,33 +20,30 @@ fn forced_unfused() -> bool {
         .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
 }
 
-/// 3 dataflows x 3 precisions x 3 SIMD policies: the fused and unfused
-/// executors agree bit for bit at 1, 2, and 8 worker threads.
+/// 3 dataflows x 3 precisions x 3 SIMD policies x 1/2/8 worker threads,
+/// fused and unfused: every run hits the pinned digest of the accumulation
+/// mode in force.
 #[test]
 fn fused_bitwise_identical_across_dataflows_precisions_kernels_threads() {
-    let sites: Vec<(i32, i32, i32)> =
-        (0..300).map(|i| ((i * 7) % 21 - 10, (i * 13) % 17 - 8, (i * 5) % 15 - 7)).collect();
-    let x = tensor_from(&sites, 4, 41);
-    let m = model(4, 41);
+    let (x, m) = fixture();
+    let exact = forced_exact_mode().unwrap_or(true);
     for (dataflow, cfg) in dataflow_configs() {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
+            let digest = pinned(dataflow, precision, exact);
             for policy in [SimdPolicy::Scalar, SimdPolicy::Portable, SimdPolicy::Auto] {
-                let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
                 for fused in [false, true] {
-                    for threads in THREADS {
+                    for threads in common::THREADS {
                         let mut cfg = cfg.clone();
                         cfg.precision = precision;
                         cfg.simd = policy;
                         cfg.fused_execution = fused;
-                        let out = output_bits(cfg, threads, &m, &x);
-                        match &reference {
-                            None => reference = Some(out),
-                            Some(r) => assert_eq!(
-                                r, &out,
-                                "{dataflow} @ {precision:?}/{policy:?} diverges with \
-                                 fused={fused} at {threads} threads"
-                            ),
-                        }
+                        let (_, bits) = output_bits(cfg, threads, &m, &x);
+                        assert_eq!(
+                            fnv1a(&bits),
+                            digest,
+                            "{dataflow} @ {precision:?}/{policy:?} with fused={fused} at \
+                             {threads} threads: output bits changed"
+                        );
                     }
                 }
             }
