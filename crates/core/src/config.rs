@@ -116,7 +116,11 @@ pub struct OptimizationConfig {
     pub precision: Precision,
     /// Vectorized (`half2`) memory access for FP16 (§4.3.1, Figure 8b).
     pub vectorized: bool,
-    /// Fuse all gathers before matmul and all scatters after (§4.3.2).
+    /// Model fused movement kernels in the GPU cost model: all gathers
+    /// before the matmuls and all scatters after (§4.3.2), instead of
+    /// Algorithm 2's per-group gather → matmul → scatter. Drives the cost
+    /// model only (Table 3, Figure 9); the CPU executor always streams map
+    /// rows through one fused gather–GEMM–scatter kernel, whatever this is.
     pub fused_gather_scatter: bool,
     /// Input-stationary gather / output-stationary scatter order (§4.3.2,
     /// Figure 9b).
@@ -165,23 +169,13 @@ pub struct OptimizationConfig {
     /// (no longer bitwise identical to the scalar kernel — typically a few
     /// ULPs tighter), so it is opt-in and off in every preset.
     pub fma_gemm: bool,
-    /// Execute real CPU convolutions through the fused
-    /// gather–GEMM–scatter path: kernel-map rows stream straight through
-    /// the microkernel without materializing gathered-feature or
-    /// partial-sum buffers. Bitwise identical to the unfused path at any
-    /// thread count, so it defaults on in every preset; the
-    /// `TORCHSPARSE_FUSED` environment variable (`off`/`on`) overrides
-    /// this field process-wide for A/B measurement. Only affects real
-    /// numerics — the GPU cost simulator always models the movement
-    /// pipeline selected by `fused_gather_scatter`.
-    pub fused_execution: bool,
     /// Accumulate the scatter reduction through exact, order-independent
     /// fixed-point superaccumulators (`torchsparse_tensor::accum`) instead
     /// of order-pinned serial `f32` addition. Every output element becomes
     /// the correctly rounded sum of its partial products — bitwise
-    /// reproducible across thread counts, chunk partitionings, and the
-    /// fused/unfused routes — which lets the scatter run as parallel pool
-    /// tasks instead of a serial walk. Defaults on in every preset; the
+    /// reproducible across thread counts and chunk partitionings — which
+    /// lets the reduction run as parallel pool tasks instead of a serial
+    /// walk. Defaults on in every preset; the
     /// `TORCHSPARSE_EXACT_ACCUM` environment variable (`off`/`on`)
     /// overrides it process-wide, with `off` restoring the historical
     /// serial-order bits for A/B comparison.
@@ -197,7 +191,7 @@ pub struct OptimizationConfig {
     /// Run the per-layer execution-policy search at
     /// [`Engine::compile`](crate::Engine::compile) time: each traced conv
     /// layer gets an [`ExecPolicy`](crate::tuning::ExecPolicy) (grouping
-    /// ε/S, fused route, SIMD kernel, gather/scatter chunk rows, GEMM panel
+    /// ε/S, SIMD kernel, gather/scatter chunk rows, GEMM panel
     /// rows) chosen by a cost-model prune followed by wall-clock microbench
     /// refinement on the layer's actual kernel map. Every candidate policy
     /// is bitwise-neutral, so this only changes speed; the
@@ -226,48 +220,6 @@ pub struct OptimizationConfig {
     /// (past ~15% churn, patching loses to rebuilding). Must lie in
     /// `[0, 1]`.
     pub delta_replan_max_churn: f64,
-}
-
-/// Resolves the effective fused-execution switch: `TORCHSPARSE_FUSED`
-/// (`off`/`0`/`false` forces the unfused buffers, `on`/`1`/`true` forces
-/// fusion) wins over `config.fused_execution`. The variable is read once
-/// per process; a set-but-unrecognized value emits a one-time warning and
-/// defers to the configuration instead of being silently ignored.
-pub fn fused_enabled(config: &OptimizationConfig) -> bool {
-    fused_override().unwrap_or(config.fused_execution)
-}
-
-/// The process-wide `TORCHSPARSE_FUSED` override, if a valid value is set.
-/// Policy-aware callers (the dataflow executors) consult this directly so
-/// the env override outranks a plan's tuned
-/// [`ExecPolicy`](crate::tuning::ExecPolicy), which in turn outranks
-/// `config.fused_execution`.
-pub(crate) fn fused_override() -> Option<bool> {
-    static OVERRIDE: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let raw = std::env::var("TORCHSPARSE_FUSED").ok()?;
-        match parse_fused_override(&raw) {
-            Ok(forced) => Some(forced),
-            Err(warning) => {
-                torchsparse_runtime::warn_env_once("TORCHSPARSE_FUSED", &warning);
-                None
-            }
-        }
-    })
-}
-
-/// Strictly parses a `TORCHSPARSE_FUSED` value; factored out of
-/// [`fused_enabled`] so the policy is testable without touching process
-/// state. Unrecognized values return the warning message to emit.
-fn parse_fused_override(raw: &str) -> Result<bool, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => Ok(false),
-        "on" | "1" | "true" => Ok(true),
-        _ => Err(format!(
-            "TORCHSPARSE_FUSED={raw:?} is not one of on/off/1/0/true/false; \
-             falling back to the engine configuration's fused_execution flag"
-        )),
-    }
 }
 
 /// Resolves the effective exact-accumulation switch: `TORCHSPARSE_EXACT_ACCUM`
@@ -480,7 +432,6 @@ impl OptimizationConfig {
             threads: None,
             simd: SimdPolicy::Auto,
             fma_gemm: false,
-            fused_execution: true,
             exact_accumulation: true,
             coord_index: CoordIndexChoice::Auto,
             autotune_policies: true,
@@ -510,20 +461,17 @@ impl OptimizationConfig {
             threads: None,
             simd: SimdPolicy::Auto,
             fma_gemm: false,
-            // Like `simd`, fused execution is a host-executor detail, not
-            // one of the paper's ablated optimizations: it changes no bits,
-            // so even the baseline uses it.
-            fused_execution: true,
-            // Same reasoning: exact accumulation is a host-executor detail
-            // (a *stronger* determinism guarantee, not a looser one), so
-            // even the baseline uses it.
+            // Like `simd`, exact accumulation is a host-executor detail, not
+            // one of the paper's ablated optimizations (a *stronger*
+            // determinism guarantee, not a looser one), so even the
+            // baseline uses it.
             exact_accumulation: true,
             // The frozen-plan index changes no bits either; the baseline
             // keeps Auto so dynamic runs match the historical hashmap path.
             coord_index: CoordIndexChoice::Auto,
             // Policy autotuning is bitwise-neutral (it only reroutes the
-            // host executor), so like fused execution it stays on even in
-            // the baseline.
+            // host executor), so like exact accumulation it stays on even
+            // in the baseline.
             autotune_policies: true,
             tune_db: None,
             // Delta re-planning is bitwise-neutral too (it bails to a full
@@ -614,7 +562,6 @@ mod tests {
         assert!(c.fused_downsample && c.simplified_mapping_kernels && c.symmetric_map_search);
         assert!(matches!(c.grouping, GroupingStrategy::Adaptive { .. }));
         assert_eq!(c.map_search, MapSearchStrategy::Auto);
-        assert!(c.fused_execution);
         assert!(c.exact_accumulation);
     }
 
@@ -653,27 +600,10 @@ mod tests {
             assert!(!c.fma_gemm, "{}: FMA changes rounding and must be opt-in", preset.name());
             assert_eq!(c.simd, SimdPolicy::Auto);
             assert!(
-                c.fused_execution,
-                "{}: fused execution is bitwise-neutral and defaults on",
-                preset.name()
-            );
-            assert!(
                 c.exact_accumulation,
                 "{}: exact accumulation strengthens determinism and defaults on",
                 preset.name()
             );
-        }
-    }
-
-    #[test]
-    fn fused_override_parses_strictly() {
-        for (raw, expect) in [("off", false), ("0", false), ("FALSE", false), (" on ", true)] {
-            assert_eq!(parse_fused_override(raw), Ok(expect), "{raw:?}");
-        }
-        for bad in ["abc", "2", "", "yes"] {
-            let w = parse_fused_override(bad).expect_err("malformed value must warn");
-            assert!(w.contains("TORCHSPARSE_FUSED"), "warning must name the variable: {w}");
-            assert!(w.contains("fused_execution"), "warning must name the fallback: {w}");
         }
     }
 

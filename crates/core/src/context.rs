@@ -158,10 +158,8 @@ pub struct Context {
     /// adaptive grouping run with fixed grouping instead. Survives
     /// [`Context::begin_run`] like [`Context::tuned_groups`].
     pub grouping_fallback: bool,
-    /// The execution runtime: shared worker pool (sized by
-    /// `config.threads`) and the workspace arena of recycled feature
-    /// buffers. Survives [`Context::begin_run`] so buffers are reused
-    /// across forward passes, not just across layers.
+    /// The execution runtime: the shared worker pool (sized by
+    /// `config.threads`). Survives [`Context::begin_run`].
     pub runtime: crate::runtime::Runtime,
     /// The active per-request deadline, if any. Caller-managed like
     /// [`Context::faults`]: survives [`Context::begin_run`] so the serving

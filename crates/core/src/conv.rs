@@ -343,11 +343,10 @@ impl SparseConv3d {
             ConvDataflow::Grouped(plan_groups(&map_ref.sizes(), submanifold, strategy))
         };
 
-        // Plan-time locality reordering and scatter metadata: sort each
-        // offset's entries by output row once per geometry, so every frame
-        // executed against this plan streams cache-friendly panels (fused
-        // route) or chunk-partitioned producer lists (unfused scatter)
-        // without rebuilding any index. The per-offset work runs on the
+        // Plan-time locality reordering: sort each offset's entries by
+        // output row once per geometry, so every frame executed against
+        // this plan streams cache-friendly panels without rebuilding any
+        // index. The per-offset work runs on the
         // worker pool — plan builds are on the serial critical path of
         // compiled sessions.
         let fused = {
@@ -418,13 +417,13 @@ impl SparseConv3d {
             map: map_ref,
             n_out: out_coords.len(),
             center_identity: plan.center,
-            fused: Some(&plan.fused),
+            fused: &plan.fused,
             policy: plan.policy,
         };
 
         let run_dataflow = |ctx: &mut Context| -> Result<Matrix, CoreError> {
             match &plan.dataflow {
-                ConvDataflow::FetchOnDemand => run_fetch_on_demand(&workload, ctx),
+                ConvDataflow::FetchOnDemand => Ok(run_fetch_on_demand(&workload, ctx)),
                 ConvDataflow::Grouped(groups) => run_gather_matmul_scatter(&workload, groups, ctx),
             }
         };
@@ -636,20 +635,17 @@ mod tests {
         assert_eq!(ExactPath::select(true, 27), ExactPath::Binary16Lanes);
         assert_eq!(ExactPath::select(false, 27), ExactPath::Superaccumulator);
         let mut reference: Option<Vec<u32>> = None;
-        for fused in [false, true] {
-            for threads in [1, 8] {
-                let mut cfg = OptimizationConfig::torchsparse();
-                cfg.precision = Precision::Fp16;
-                cfg.exact_accumulation = true;
-                cfg.fused_execution = fused;
-                cfg.threads = Some(threads);
-                let mut c = Context::new(cfg, DeviceProfile::rtx_2080ti());
-                let y = conv.forward(&x, &mut c).unwrap();
-                let bits: Vec<u32> = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
-                match &reference {
-                    None => reference = Some(bits),
-                    Some(r) => assert_eq!(r, &bits, "fused={fused} threads={threads}"),
-                }
+        for threads in [1, 8] {
+            let mut cfg = OptimizationConfig::torchsparse();
+            cfg.precision = Precision::Fp16;
+            cfg.exact_accumulation = true;
+            cfg.threads = Some(threads);
+            let mut c = Context::new(cfg, DeviceProfile::rtx_2080ti());
+            let y = conv.forward(&x, &mut c).unwrap();
+            let bits: Vec<u32> = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
+            match &reference {
+                None => reference = Some(bits),
+                Some(r) => assert_eq!(r, &bits, "threads={threads}"),
             }
         }
     }

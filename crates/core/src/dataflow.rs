@@ -12,11 +12,13 @@
 //!   gather/scatter buffers; it wins on small workloads and loses GEMM
 //!   utilization on large ones (§5.2).
 //!
-//! Both execute the *real* computation on the CPU (their FP32 outputs are
-//! bit-identical) while emitting their memory access traces through the GPU
-//! simulator in exactly the order the corresponding CUDA kernels would, so
-//! that cache behaviour — and therefore latency — differs the way the
-//! paper measures.
+//! Both execute the *real* computation on the CPU through one executor,
+//! `run_fused_numerics`: kernel-map rows stream from the input features
+//! through the fused gather–GEMM–scatter microkernel straight into the
+//! output, in the plan-time [`FusedOrder`]. Separately, each dataflow
+//! emits its memory access trace through the GPU simulator in exactly the
+//! order the corresponding CUDA kernels would, so that cache behaviour —
+//! and therefore modeled latency — differs the way the paper measures.
 
 use crate::config::{OptimizationConfig, Precision, SimdPolicy};
 use crate::context::Context;
@@ -51,11 +53,8 @@ pub struct ConvWorkload<'a> {
     /// The center offset index if this is a submanifold layer whose center
     /// map is the identity (enables the §4.2.1 shortcut).
     pub center_identity: Option<usize>,
-    /// Plan-time locality ordering for the fused gather–GEMM–scatter
-    /// executor. `None` (or simulate-only mode, or
-    /// `fused_execution = false`) keeps the materialized gather/psum
-    /// buffer path.
-    pub fused: Option<&'a FusedOrder>,
+    /// Plan-time locality ordering the executor streams the map in.
+    pub fused: &'a FusedOrder,
     /// The tuned per-layer execution policy, when the plan carries one.
     /// `None` resolves every knob from the global [`OptimizationConfig`].
     /// Every selectable policy is bitwise-neutral — it changes execution
@@ -77,16 +76,6 @@ fn kernel_for(simd: SimdPolicy) -> Kernel {
 /// so this only changes instruction throughput.
 pub(crate) fn policy_kernel(config: &OptimizationConfig, policy: Option<&ExecPolicy>) -> Kernel {
     kernel_for(policy.map_or(config.simd, |p| p.simd))
-}
-
-/// The effective fused-execution switch for one workload: the
-/// `TORCHSPARSE_FUSED` override outranks the plan's tuned policy, which
-/// outranks the global `fused_execution` flag.
-fn fused_for(config: &OptimizationConfig, policy: Option<&ExecPolicy>) -> bool {
-    match crate::config::fused_override() {
-        Some(forced) => forced,
-        None => policy.map_or(config.fused_execution, |p| p.fused),
-    }
 }
 
 /// GEMM options for one workload: the resolved kernel, FMA only if the
@@ -197,14 +186,13 @@ const MOVE_CHUNK: usize = 64;
 /// for each offset `n` — contiguous and without scanning the rest of the
 /// map. Because the per-offset in/out maps are partial bijections, each
 /// output row appears at most once per offset, and the per-element
-/// accumulation order (offsets ascending, one FP32 add per entry) is
-/// exactly the unfused serial engine's.
+/// accumulation order (offsets ascending, one FP32 add per entry) is the
+/// historical serial engine's.
 ///
 /// Forward searches emit CSR ranges already sorted by output row, so for
 /// them the order stores *only* the chunk split points and the view is the
-/// map's own CSR slice — no entry copy, no producer permutation. Only
-/// transposed decoder maps (whose mirrored ranges are input-sorted) pay a
-/// materialized stable re-sort plus the original-index permutation.
+/// map's own CSR slice — no entry copy. Only transposed decoder maps (whose
+/// mirrored ranges are input-sorted) pay a materialized stable re-sort.
 ///
 /// Built once per [`ConvPlan`](crate::plan::ConvPlan), so compiled
 /// sessions pay the (mostly metadata-only) build once per geometry and
@@ -215,70 +203,35 @@ pub struct FusedOrder {
     /// `starts[n][c]..starts[n][c + 1]` indexes the output-sorted view of
     /// offset `n` restricted to output-row chunk `c`.
     starts: Vec<Vec<u32>>,
-    /// Per-offset materialized re-sort, present only when the map's CSR
-    /// range is not already output-ascending: `.0` is the entries stably
-    /// sorted by output row, `.1` the original entry index of each sorted
-    /// position — exactly the partial-sum row the GEMM wrote, so a scatter
-    /// task can stream `psums[n].row(orig[i])` without rebuilding producer
-    /// lists at execute time. `None` = the CSR slice itself is the view
-    /// and the producer index is the identity.
-    resort: Vec<Option<Resort>>,
+    /// Per-offset materialized re-sort (the entries stably sorted by
+    /// output row), present only when the map's CSR range is not already
+    /// output-ascending. `None` = the CSR slice itself is the view.
+    resort: Vec<Option<Vec<MapEntry>>>,
     /// Output rows per chunk this order was split at ([`MOVE_CHUNK`] unless
-    /// a tuned policy chose otherwise). The executors partition their
-    /// output blocks at exactly this width; any width produces identical
-    /// bits because each output row lives in exactly one chunk and its
+    /// a tuned policy chose otherwise). The executor partitions its output
+    /// blocks at exactly this width; any width produces identical bits
+    /// because each output row lives in exactly one chunk and its
     /// per-entry accumulation order is unchanged.
     chunk_rows: usize,
 }
 
-/// One offset's materialized re-sort: the entries stably sorted by output
-/// row, and the original entry index of each sorted position.
-type Resort = (Vec<MapEntry>, Vec<u32>);
-
-/// A borrowed output-sorted view of one offset's entries: the map's own
-/// CSR slice for forward (already-sorted) offsets, or the plan-time
-/// re-sorted copy for transposed ones.
-#[derive(Debug, Clone, Copy)]
-pub struct OffsetView<'a> {
-    /// The offset's entries, sorted by output row.
-    pub entries: &'a [MapEntry],
-    orig: Option<&'a [u32]>,
-}
-
-impl OffsetView<'_> {
-    /// The original map-entry index (the partial-sum producer row) of
-    /// sorted position `i`.
-    #[inline]
-    pub fn producer(&self, i: usize) -> u32 {
-        match self.orig {
-            Some(orig) => orig[i],
-            None => i as u32,
-        }
-    }
-}
-
 /// One offset's share of a [`FusedOrder`]: the chunk split points, plus the
 /// materialized re-sort when the CSR range is not already output-sorted.
-fn order_one_offset(
-    src: &[MapEntry],
-    chunks: usize,
-    chunk_rows: usize,
-) -> (Vec<u32>, Option<Resort>) {
+type OffsetOrder = (Vec<u32>, Option<Vec<MapEntry>>);
+
+/// Builds one offset's [`OffsetOrder`].
+fn order_one_offset(src: &[MapEntry], chunks: usize, chunk_rows: usize) -> OffsetOrder {
     // Forward maps are already output-ascending; only transposed maps
     // actually pay the sort (stable, so entry order among equal outputs is
     // preserved) and the materialized copy.
     let resort = if src.windows(2).all(|w| w[0].output <= w[1].output) {
         None
     } else {
-        let mut orig: Vec<u32> = (0..src.len() as u32).collect();
-        orig.sort_by_key(|&i| src[i as usize].output);
-        let entries: Vec<MapEntry> = orig.iter().map(|&i| src[i as usize]).collect();
-        Some((entries, orig))
+        let mut sorted = src.to_vec();
+        sorted.sort_by_key(|e| e.output);
+        Some(sorted)
     };
-    let entries = match &resort {
-        Some((sorted, _)) => sorted.as_slice(),
-        None => src,
-    };
+    let entries = resort.as_deref().unwrap_or(src);
     let mut s = Vec::with_capacity(chunks + 1);
     let mut i = 0usize;
     for c in 0..chunks {
@@ -342,7 +295,7 @@ impl FusedOrder {
         let chunk_rows = chunk_rows.max(1);
         let chunks = n_out.div_ceil(chunk_rows);
         let volume = map.num_offsets();
-        let mut slots: Vec<Option<(Vec<u32>, Option<Resort>)>> = vec![None; volume];
+        let mut slots: Vec<Option<OffsetOrder>> = vec![None; volume];
         let tasks: Vec<Task<'_>> = slots
             .iter_mut()
             .enumerate()
@@ -377,11 +330,8 @@ impl FusedOrder {
     /// The output-sorted entry view of offset `n`. `map` must be the map
     /// this order was built from.
     #[inline]
-    pub fn view<'a>(&'a self, map: &'a KernelMap, n: usize) -> OffsetView<'a> {
-        match &self.resort[n] {
-            Some((entries, orig)) => OffsetView { entries, orig: Some(orig) },
-            None => OffsetView { entries: map.entries(n), orig: None },
-        }
+    pub fn view<'a>(&'a self, map: &'a KernelMap, n: usize) -> &'a [MapEntry] {
+        self.resort[n].as_deref().unwrap_or_else(|| map.entries(n))
     }
 
     /// How many offsets carry a materialized re-sort (zero for forward
@@ -395,66 +345,10 @@ impl FusedOrder {
     /// frozen-plan memory accounting).
     pub fn memory_bytes(&self) -> u64 {
         let starts: usize = self.starts.iter().map(|s| s.len() * 4).sum();
-        let resort: usize = self
-            .resort
-            .iter()
-            .flatten()
-            .map(|(e, o)| e.len() * std::mem::size_of::<MapEntry>() + o.len() * 4)
-            .sum();
+        let resort: usize =
+            self.resort.iter().flatten().map(|e| e.len() * std::mem::size_of::<MapEntry>()).sum();
         (starts + resort) as u64
     }
-}
-
-/// Process-wide count of [`FusedOrder`]s built *inside* the scatter because
-/// the caller provided none. Engine paths always thread the plan-time order
-/// through [`ConvWorkload::fused`], so steady-state compiled frames keep
-/// this at zero — the regression test in `tests/fused_dataflow.rs` asserts
-/// exactly that. Nonzero counts mean some call site is silently paying a
-/// per-call metadata rebuild.
-static SCATTER_FALLBACK_BUILDS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
-/// Total scatter-metadata fallback builds since process start (see
-/// [`SCATTER_FALLBACK_BUILDS`]).
-pub fn scatter_fallback_builds() -> usize {
-    SCATTER_FALLBACK_BUILDS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Copies `in_feats[entries[i].input] -> f[i]` for all entries, partitioned
-/// into [`MOVE_CHUNK`]-row tasks on the pool. Rows of `f` beyond
-/// `entries.len()` are untouched (callers pre-zero padded buffers). Row
-/// copies go through the microkernel's wide-vector path on SIMD hosts —
-/// identical bytes, fewer instructions per feature row.
-fn gather_rows(
-    pool: &ThreadPool,
-    kernel: Kernel,
-    in_feats: &Matrix,
-    entries: &[MapEntry],
-    f: &mut Matrix,
-) {
-    let c_in = in_feats.cols();
-    if entries.is_empty() || c_in == 0 {
-        return;
-    }
-    if (pool.threads() <= 1 && !pool.is_recording()) || entries.len() <= MOVE_CHUNK {
-        for (i, e) in entries.iter().enumerate() {
-            microkernel::copy_row(kernel, f.row_mut(i), in_feats.row(e.input as usize));
-        }
-        return;
-    }
-    let dest = &mut f.as_mut_slice()[..entries.len() * c_in];
-    let tasks: Vec<Task<'_>> = dest
-        .chunks_mut(MOVE_CHUNK * c_in)
-        .zip(entries.chunks(MOVE_CHUNK))
-        .map(|(block, chunk)| {
-            Box::new(move || {
-                for (row, e) in block.chunks_mut(c_in).zip(chunk) {
-                    microkernel::copy_row(kernel, row, in_feats.row(e.input as usize));
-                }
-            }) as Task<'_>
-        })
-        .collect();
-    pool.run(tasks);
 }
 
 /// How an exact-accumulation layer reduces its partial sums.
@@ -493,9 +387,9 @@ std::thread_local! {
     /// counterpart of [`EXACT_GRID`].
     static LANE_GRID: std::cell::RefCell<Vec<Binary16Lane>> =
         const { std::cell::RefCell::new(Vec::new()) };
-    /// Per-worker staging tile for the fused exact epilogue: the
-    /// microkernel writes one offset batch's products here before they are
-    /// folded into the chunk's grid.
+    /// Per-worker staging tile for the exact epilogue: the microkernel
+    /// writes one offset batch's products here before they are folded into
+    /// the chunk's grid.
     static EXACT_TILE: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -508,21 +402,18 @@ enum ExactGrid<'a> {
 }
 
 impl ExactGrid<'_> {
-    /// Folds one partial-sum row into the elements starting at `at`. The
-    /// `+ 0.0` canonicalizes a -0.0 partial sum to +0.0, exactly as the
-    /// fused route's zero-initialized staging tile does — keeping the two
-    /// routes' addend multisets bitwise equal.
+    /// Folds one partial-sum row into the elements starting at `at`.
     #[inline]
     fn fold(&mut self, at: usize, row: &[f32]) {
         match self {
             ExactGrid::Lanes(lanes) => {
                 for (lane, &v) in lanes[at..at + row.len()].iter_mut().zip(row) {
-                    lane.add(v + 0.0);
+                    lane.add(v);
                 }
             }
             ExactGrid::Super(grid) => {
                 for (acc, &v) in grid[at..at + row.len()].iter_mut().zip(row) {
-                    acc.add(v + 0.0);
+                    acc.add(v);
                 }
             }
         }
@@ -533,8 +424,8 @@ impl ExactGrid<'_> {
 /// row the chunk owns into the grid, then each element of `block` becomes
 /// the single correctly rounded sum of its current value (the zero init or
 /// the §4.2.1 center-shortcut GEMM result) and its folded addends. Both
-/// paths are order-independent, so the bits depend neither on how chunks
-/// are scheduled nor on which route produced the addends.
+/// paths are order-independent, so the bits do not depend on how chunks
+/// are scheduled.
 fn reduce_exact_chunk(path: ExactPath, block: &mut [f32], fold_all: impl FnOnce(&mut ExactGrid)) {
     match path {
         ExactPath::Binary16Lanes => LANE_GRID.with(|cell| {
@@ -559,137 +450,6 @@ fn reduce_exact_chunk(path: ExactPath, block: &mut [f32], fold_all: impl FnOnce(
             }
         }),
     }
-}
-
-/// Reduces one output chunk of the unfused exact scatter: folds every
-/// partial-sum row the plan-time order assigns to chunk `c` through
-/// [`reduce_exact_chunk`] — the same addend multiset, on the same path, as
-/// the fused epilogue folds, so the two routes produce identical bits.
-/// FP16/INT8 partial sums are binary16 values: integer multiples of 2⁻²⁴
-/// below 2¹⁶, at most one per kernel offset, so below 2¹³ offsets their
-/// sum — in any order — is an integer multiple of 2⁻²⁴ below 2²⁹, exact in
-/// a plain `f64` lane, and one `f64` two-sum rounded to odd folds in the
-/// f32 seed with a single correct rounding. FP32 partial sums and larger
-/// kernels reduce through the 384-bit superaccumulator.
-fn exact_scatter_chunk(
-    order: &FusedOrder,
-    map: &KernelMap,
-    psums: &[Option<Matrix>],
-    path: ExactPath,
-    c: usize,
-    c_out: usize,
-    block: &mut [f32],
-) {
-    let base = (c * order.chunk_rows()) as u32;
-    reduce_exact_chunk(path, block, |grid| {
-        for (n, p) in psums.iter().enumerate() {
-            let Some(p) = p else { continue };
-            let view = order.view(map, n);
-            let lo = order.starts(n)[c] as usize;
-            let hi = order.starts(n)[c + 1] as usize;
-            for (i, e) in view.entries[lo..hi].iter().enumerate() {
-                let src = view.producer(lo + i);
-                grid.fold((e.output - base) as usize * c_out, p.row(src as usize));
-            }
-        }
-    });
-}
-
-/// Scatter-accumulates every offset's partial sums into `out` (FP32
-/// accumulation registers).
-///
-/// With exact accumulation on (`exact` is the layer's [`ExactPath`]),
-/// output rows are partitioned into fixed [`MOVE_CHUNK`] blocks that reduce
-/// as pool tasks through per-chunk grids ([`exact_scatter_chunk`]) — each
-/// element becomes the correctly rounded sum of its producers, bitwise
-/// identical at any thread count *by arithmetic*, with no ordering
-/// constraint on the schedule. FP16/INT8 partial sums are binary16 values:
-/// integer multiples of 2⁻²⁴ below 2¹⁶, at most one per kernel offset, so
-/// below 2¹³ offsets their sum — in any order — is an integer multiple of
-/// 2⁻²⁴ below 2²⁹, exact in a plain `f64` lane; one `f64` two-sum rounded
-/// to odd then folds in the f32 seed with a single correct rounding to
-/// `f32`. FP32 partial sums and larger kernels use the 384-bit
-/// superaccumulator. Both give the same bits.
-///
-/// With exact accumulation off (`None`), the historical bits are
-/// preserved: serial (`threads == 1`) iterates offset-major exactly like
-/// the original engine, and the parallel path walks each chunk
-/// offset-major through the plan-time order — the same per-element
-/// `(offset, entry)`-ascending FP32 addition order as the serial loop, so
-/// results still match serial bits at every pool width.
-///
-/// `order` is the plan-time scatter metadata; `None` (hand-built workloads
-/// only) falls back to an on-the-spot build, counted by
-/// [`scatter_fallback_builds`].
-fn scatter_accumulate(
-    pool: &ThreadPool,
-    kernel: Kernel,
-    map: &KernelMap,
-    psums: &[Option<Matrix>],
-    out: &mut Matrix,
-    order: Option<&FusedOrder>,
-    exact: Option<ExactPath>,
-) {
-    let c_out = out.cols();
-    if out.rows() == 0 || c_out == 0 {
-        return;
-    }
-    if exact.is_none() && pool.threads() <= 1 && !pool.is_recording() {
-        for (n, p) in psums.iter().enumerate() {
-            let Some(p) = p else { continue };
-            for (i, e) in map.entries(n).iter().enumerate() {
-                let dst = out.row_mut(e.output as usize);
-                microkernel::accumulate_row(kernel, dst, p.row(i));
-            }
-        }
-        return;
-    }
-    let built;
-    let order = match order {
-        Some(o) => o,
-        None => {
-            SCATTER_FALLBACK_BUILDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            built = FusedOrder::build(map, out.rows());
-            &built
-        }
-    };
-    let chunk = order.chunk_rows();
-    let run_chunk = |c: usize, block: &mut [f32]| {
-        if let Some(path) = exact {
-            exact_scatter_chunk(order, map, psums, path, c, c_out, block);
-            return;
-        }
-        let base = (c * chunk) as u32;
-        for (n, p) in psums.iter().enumerate() {
-            let Some(p) = p else { continue };
-            let view = order.view(map, n);
-            let lo = order.starts(n)[c] as usize;
-            let hi = order.starts(n)[c + 1] as usize;
-            for (i, e) in view.entries[lo..hi].iter().enumerate() {
-                let src = view.producer(lo + i);
-                let rel = (e.output - base) as usize * c_out;
-                microkernel::accumulate_row(
-                    kernel,
-                    &mut block[rel..rel + c_out],
-                    p.row(src as usize),
-                );
-            }
-        }
-    };
-    if pool.threads() <= 1 && !pool.is_recording() {
-        for (c, block) in out.as_mut_slice().chunks_mut(chunk * c_out).enumerate() {
-            run_chunk(c, block);
-        }
-        return;
-    }
-    let run_chunk = &run_chunk;
-    let tasks: Vec<Task<'_>> = out
-        .as_mut_slice()
-        .chunks_mut(chunk * c_out)
-        .enumerate()
-        .map(|(c, block)| Box::new(move || run_chunk(c, block)) as Task<'_>)
-        .collect();
-    pool.run(tasks);
 }
 
 /// Layout of the simulated buffers of one convolution.
@@ -777,28 +537,26 @@ fn exact_path(ctx: &Context, map: &KernelMap, binary16_psums: bool) -> Option<Ex
 /// or partial-sum buffer in between.
 ///
 /// Per output element, with exact accumulation off, the accumulation order
-/// is exactly the unfused engine's — a zero-initialized k-ascending dot
-/// product per map entry (the GEMM into a zeroed psum row), optional f16
-/// rounding of that product (the 16-bit psum store), then one FP32 add per
-/// entry with offsets ascending (the scatter) — so results are bitwise
-/// identical to the buffered path at any thread count. With exact
-/// accumulation on (`exact` is the layer's [`ExactPath`]), each offset
-/// batch's products stage through a zeroed per-worker tile and fold into
-/// the chunk's exact grid ([`reduce_exact_chunk`]), making the result the
-/// correctly rounded sum of the same addend multiset the unfused exact
-/// scatter reduces — bitwise equal across routes *and* schedules. With
-/// `round_f16` the products are binary16 values: integer multiples of
-/// 2⁻²⁴ below 2¹⁶, at most one per kernel offset, so below 2¹³ offsets
-/// their sum — in any order — is an integer multiple of 2⁻²⁴ below 2²⁹,
-/// exact in a plain `f64` lane, and one `f64` two-sum rounded to odd folds
-/// in the f32 seed with a single correct rounding; unrounded (FP32)
-/// products and larger kernels fold through the 384-bit superaccumulator.
-/// Parallel tasks own disjoint output-row blocks of the order's chunk
-/// width; the partition never depends on the pool width.
+/// is the historical serial engine's — a zero-initialized k-ascending dot
+/// product per map entry, optional f16 rounding of that product (the
+/// 16-bit partial-sum store), then one FP32 add per entry with offsets
+/// ascending — so results are bitwise identical at any thread count. With
+/// exact accumulation on (`exact` is the layer's [`ExactPath`]), each
+/// offset batch's products stage through a zeroed per-worker tile and fold
+/// into the chunk's exact grid ([`reduce_exact_chunk`]), making the result
+/// the correctly rounded sum of the partial products — bitwise equal
+/// across schedules by arithmetic. With `round_f16` the products are
+/// binary16 values: integer multiples of 2⁻²⁴ below 2¹⁶, at most one per
+/// kernel offset, so below 2¹³ offsets their sum — in any order — is an
+/// integer multiple of 2⁻²⁴ below 2²⁹, exact in a plain `f64` lane, and one
+/// `f64` two-sum rounded to odd folds in the f32 seed with a single correct
+/// rounding; unrounded (FP32) products and larger kernels fold through the
+/// 384-bit superaccumulator. Parallel tasks own disjoint output-row blocks
+/// of the order's chunk width; the partition never depends on the pool
+/// width.
 #[allow(clippy::too_many_arguments)]
 fn run_fused_numerics(
     w: &ConvWorkload<'_>,
-    fused: &FusedOrder,
     shortcut: Option<usize>,
     round_f16: bool,
     exact: Option<ExactPath>,
@@ -826,7 +584,7 @@ fn run_fused_numerics(
         Some(packed) => microkernel::BOperand::Packed(&packed[n]),
         None => microkernel::BOperand::Dense(w.weights[n].as_slice()),
     };
-    let volume = w.map.num_offsets();
+    let (fused, volume) = (w.fused, w.map.num_offsets());
     let chunk = fused.chunk_rows();
     let run_chunk = |c: usize, block: &mut [f32]| {
         let base = (c * chunk) as u32;
@@ -842,7 +600,7 @@ fn run_fused_numerics(
                         }
                         let lo = fused.starts(n)[c] as usize;
                         let hi = fused.starts(n)[c + 1] as usize;
-                        let entries = &fused.view(w.map, n).entries[lo..hi];
+                        let entries = &fused.view(w.map, n)[lo..hi];
                         for batch in entries.chunks(MOVE_CHUNK) {
                             let cnt = batch.len();
                             for (j, e) in batch.iter().enumerate() {
@@ -877,7 +635,7 @@ fn run_fused_numerics(
             }
             let lo = fused.starts(n)[c] as usize;
             let hi = fused.starts(n)[c + 1] as usize;
-            let entries = &fused.view(w.map, n).entries[lo..hi];
+            let entries = &fused.view(w.map, n)[lo..hi];
             // The register staging tiles are fixed at MOVE_CHUNK rows, so
             // wider tuned chunks (and degenerate hand-built maps) stream
             // through this sub-chunk loop in MOVE_CHUNK-entry batches —
@@ -939,22 +697,17 @@ pub fn run_gather_matmul_scatter(
     let opts = gemm_opts(&ctx.config, w.policy.as_ref());
     let mut out = Matrix::zeros(w.n_out, w.c_out());
 
-    // ---- Real computation (order-independent). -------------------------
-    // Fused route: no gather/psum buffers at all — map rows stream through
-    // the microkernel straight into `out`, with the §4.2.1 center shortcut
-    // still running as one dense GEMM first. Grouping is bitwise-neutral
-    // for numerics (bmm pad rows are zero and never scattered), so the
-    // fused path ignores it; the simulated cost below still models the
-    // configured grouping/movement kernels either way. Both routes store
-    // 16-bit partial sums outside FP32, which picks the exact path.
-    let binary16_psums = ctx.config.precision != Precision::Fp32;
-    let exact = exact_path(ctx, w.map, binary16_psums);
-    let fused_order = if ctx.simulate_only || !fused_for(&ctx.config, w.policy.as_ref()) {
-        None
-    } else {
-        w.fused
-    };
-    if let Some(order) = fused_order {
+    // ---- Real computation. ---------------------------------------------
+    // No gather/psum buffers at all — map rows stream through the
+    // microkernel straight into `out`, with the §4.2.1 center shortcut
+    // running as one dense GEMM first. Grouping only batches GEMMs in the
+    // simulated cost below; the executor streams every offset itself, so
+    // beyond the center shortcut it ignores the group plan. Partial sums are 16-bit outside FP32,
+    // which picks the exact path. Skipped in simulate-only mode: latency
+    // depends on the map structure, never on feature values.
+    if !ctx.simulate_only {
+        let binary16_psums = ctx.config.precision != Precision::Fp32;
+        let exact = exact_path(ctx, w.map, binary16_psums);
         let shortcut = plan
             .groups
             .iter()
@@ -968,99 +721,7 @@ pub fn run_gather_matmul_scatter(
                 None => gemm::mm_into_with(&pool, w.in_feats, &w.weights[n0], &mut out, opts)?,
             }
         }
-        run_fused_numerics(w, order, shortcut, binary16_psums, exact, &pool, kernel, &mut out);
-    }
-    // Unfused route: gather per-offset feature matrices, run the (b)mm,
-    // keep partial sums. Gather/psum buffers come from the context's
-    // workspace arena and are returned after the scatter, so steady-state
-    // forward passes allocate no feature buffers. Skipped entirely in
-    // simulate-only mode: latency depends on the map structure, never on
-    // feature values.
-    let mut psums: Vec<Option<Matrix>> = vec![None; w.map.num_offsets()];
-    let run_numerics = !ctx.simulate_only && fused_order.is_none();
-    for g in plan.groups.iter().filter(|_| run_numerics) {
-        if is_center_shortcut(w, &g.offsets, ctx) {
-            // out += in . W_center, rows aligned by the identity map.
-            match w.packed {
-                Some(packed) => gemm::mm_into_packed_on(
-                    &pool,
-                    w.in_feats,
-                    &packed[g.offsets[0]],
-                    &mut out,
-                    opts,
-                )?,
-                None => {
-                    gemm::mm_into_with(&pool, w.in_feats, &w.weights[g.offsets[0]], &mut out, opts)?
-                }
-            }
-            continue;
-        }
-        let members: Vec<usize> =
-            g.offsets.iter().copied().filter(|&n| !w.map.entries(n).is_empty()).collect();
-        if g.use_bmm && members.len() > 1 {
-            // Grouped bmm (Algorithm 4): gather every member into a padded
-            // workspace buffer, then one batched GEMM whose row panels of
-            // *all* members run as a single task wave — group members are
-            // concurrent, not sequential.
-            let mut gathered: Vec<Matrix> = Vec::with_capacity(members.len());
-            for &n in &members {
-                let mut f = ctx.runtime.workspaces.take(g.padded_rows, w.c_in());
-                gather_rows(&pool, kernel, w.in_feats, w.map.entries(n), &mut f);
-                gathered.push(f);
-            }
-            let mut products: Vec<Matrix> = members
-                .iter()
-                .map(|_| ctx.runtime.workspaces.take(g.padded_rows, w.c_out()))
-                .collect();
-            let a_refs: Vec<&Matrix> = gathered.iter().collect();
-            match w.packed {
-                Some(packed) => {
-                    let b_refs: Vec<&PackedB> = members.iter().map(|&n| &packed[n]).collect();
-                    gemm::bmm_into_packed_on(&pool, &a_refs, &b_refs, &mut products, opts)?;
-                }
-                None => {
-                    let b_refs: Vec<&Matrix> = members.iter().map(|&n| &w.weights[n]).collect();
-                    gemm::bmm_into_with(&pool, &a_refs, &b_refs, &mut products, opts)?;
-                }
-            }
-            for f in gathered {
-                ctx.runtime.workspaces.give(f);
-            }
-            for (&n, mut p) in members.iter().zip(products) {
-                if ctx.config.precision != Precision::Fp32 {
-                    // Partial sums are stored in 16-bit buffers.
-                    quant::round_trip_f16_in_place_kernel(&pool, &mut p, kernel);
-                }
-                psums[n] = Some(p);
-            }
-        } else {
-            for &n in &members {
-                let entries = w.map.entries(n);
-                let rows = if g.use_bmm { g.padded_rows } else { entries.len() };
-                let mut f = ctx.runtime.workspaces.take(rows, w.c_in());
-                gather_rows(&pool, kernel, w.in_feats, entries, &mut f);
-                let mut p = ctx.runtime.workspaces.take(rows, w.c_out());
-                match w.packed {
-                    Some(packed) => {
-                        gemm::mm_into_packed_on(&pool, &f, &packed[n], &mut p, opts)?;
-                    }
-                    None => gemm::mm_into_with(&pool, &f, &w.weights[n], &mut p, opts)?,
-                }
-                ctx.runtime.workspaces.give(f);
-                if ctx.config.precision != Precision::Fp32 {
-                    // Partial sums are stored in 16-bit buffers.
-                    quant::round_trip_f16_in_place_kernel(&pool, &mut p, kernel);
-                }
-                psums[n] = Some(p);
-            }
-        }
-    }
-    // Scatter-accumulate (FP32 accumulation registers).
-    if run_numerics {
-        scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused, exact);
-    }
-    for p in psums.drain(..).flatten() {
-        ctx.runtime.workspaces.give(p);
+        run_fused_numerics(w, shortcut, binary16_psums, exact, &pool, kernel, &mut out);
     }
 
     // ---- Simulated cost (order faithful to the configured kernels). ----
@@ -1301,11 +962,7 @@ const FETCH_ON_DEMAND_UTIL_CAP: f64 = 0.18;
 /// from the input features and accumulated into the outputs, with no
 /// gather/scatter buffers (Lin et al. 2021; used by MinkowskiEngine for
 /// small workloads, §5.2).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Tensor`] on inconsistent weight shapes.
-pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Matrix, CoreError> {
+pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Matrix {
     let m = modes(ctx.config.precision, ctx.config.vectorized);
     let feat_row_bytes = (w.c_in() as u64) * m.feat.elem.bytes();
     let out_row_bytes = (w.c_out() as u64) * m.psum.elem.bytes();
@@ -1315,71 +972,20 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
     let mut out = Matrix::zeros(w.n_out, w.c_out());
     let precision = gemm_precision(ctx.config.precision);
     let mut compute = torchsparse_gpusim::Micros::ZERO;
-    let pool = ctx.runtime.pool();
-    let kernel = policy_kernel(&ctx.config, w.policy.as_ref());
-    let opts = gemm_opts(&ctx.config, w.policy.as_ref());
-    // Fused route: stream map rows straight through the microkernel into
-    // `out` — no scratch buffers taken at all. Fetch-on-demand keeps its
-    // partial sums in FP32 (no 16-bit psum store), hence `round_f16:
-    // false`, and never uses the center shortcut.
-    let exact = exact_path(ctx, w.map, false);
-    let fused_order = if ctx.simulate_only || !fused_for(&ctx.config, w.policy.as_ref()) {
-        None
-    } else {
-        w.fused
-    };
-    if let Some(order) = fused_order {
-        run_fused_numerics(w, order, None, false, exact, &pool, kernel, &mut out);
+    // Real compute: out[k] += in[j] . W_n per entry, streamed through the
+    // shared executor. Fetch-on-demand keeps its partial sums in FP32 (no
+    // 16-bit psum store), hence `round_f16: false`, and never uses the
+    // center shortcut.
+    if !ctx.simulate_only {
+        let exact = exact_path(ctx, w.map, false);
+        let kernel = policy_kernel(&ctx.config, w.policy.as_ref());
+        run_fused_numerics(w, None, false, exact, &ctx.runtime.pool(), kernel, &mut out);
     }
-    let run_numerics = !ctx.simulate_only && fused_order.is_none();
-    // Unfused route, exact accumulation off: one scratch pair reused across
-    // all K^3 neighborhoods (previously a fresh gather matrix was allocated
-    // per offset): reshape keeps the backing storage whenever capacity
-    // suffices, and the buffers return to the workspace arena afterwards
-    // for the next layer or forward pass.
-    let mut buffers = (run_numerics && exact.is_none()).then(|| {
-        (ctx.runtime.workspaces.take(0, w.c_in()), ctx.runtime.workspaces.take(0, w.c_out()))
-    });
-    // Unfused route, exact accumulation on: partial sums are kept per
-    // offset (fetch-on-demand stays FP32, no 16-bit psum store) and the
-    // whole reduction runs through the shared exact scatter at the end —
-    // the same addend multiset the fused route folds, so both routes round
-    // to identical bits.
-    let mut psums: Vec<Option<Matrix>> =
-        if run_numerics && exact.is_some() { vec![None; w.map.num_offsets()] } else { Vec::new() };
 
     for n in 0..w.map.num_offsets() {
         let entries = w.map.entries(n);
         if entries.is_empty() {
             continue;
-        }
-        if let Some((scratch, psum)) = &mut buffers {
-            // Real compute: out[k] += in[j] . W_n per entry. Executed as one
-            // blocked GEMM over the offset's rows — numerically identical to
-            // the per-entry row-by-matrix products of the device kernel.
-            scratch.reshape_zeroed(entries.len(), w.c_in());
-            gather_rows(&pool, kernel, w.in_feats, entries, scratch);
-            psum.reshape_zeroed(entries.len(), w.c_out());
-            match w.packed {
-                Some(packed) => {
-                    gemm::mm_into_packed_on(&pool, &*scratch, &packed[n], psum, opts)?;
-                }
-                None => gemm::mm_into_with(&pool, &*scratch, &w.weights[n], psum, opts)?,
-            }
-            for (i, e) in entries.iter().enumerate() {
-                let dst = out.row_mut(e.output as usize);
-                microkernel::accumulate_row(kernel, dst, psum.row(i));
-            }
-        } else if run_numerics && exact.is_some() {
-            let mut f = ctx.runtime.workspaces.take(entries.len(), w.c_in());
-            gather_rows(&pool, kernel, w.in_feats, entries, &mut f);
-            let mut p = ctx.runtime.workspaces.take(entries.len(), w.c_out());
-            match w.packed {
-                Some(packed) => gemm::mm_into_packed_on(&pool, &f, &packed[n], &mut p, opts)?,
-                None => gemm::mm_into_with(&pool, &f, &w.weights[n], &mut p, opts)?,
-            }
-            ctx.runtime.workspaces.give(f);
-            psums[n] = Some(p);
         }
         for e in entries {
             // Memory: read the input row, read-modify-write the output row.
@@ -1394,20 +1000,10 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
         compute += torchsparse_gpusim::Micros(compute_us + ctx.device.launch_overhead_us);
     }
 
-    if let Some((scratch, psum)) = buffers {
-        ctx.runtime.workspaces.give(scratch);
-        ctx.runtime.workspaces.give(psum);
-    }
-    if run_numerics && exact.is_some() {
-        scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused, exact);
-        for p in psums.drain(..).flatten() {
-            ctx.runtime.workspaces.give(p);
-        }
-    }
     let report = ctx.mem.take_report();
     ctx.timeline.add(Stage::Gather, report.latency(&ctx.device));
     ctx.timeline.add(Stage::MatMul, compute);
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -1482,6 +1078,7 @@ mod tests {
     #[test]
     fn all_fp32_configs_agree_with_reference() {
         let (coords, feats, weights, map) = workload_parts(8, 16);
+        let order = FusedOrder::build(&map, coords.len());
         let n_out = coords.len();
         let expect = reference_output(&feats, &weights, &map, n_out);
 
@@ -1510,7 +1107,7 @@ mod tests {
                             map: &map,
                             n_out,
                             center_identity: Some(13),
-                            fused: None,
+                            fused: &order,
                             policy: None,
                         };
                         let out = run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
@@ -1528,6 +1125,7 @@ mod tests {
     #[test]
     fn fetch_on_demand_matches_reference() {
         let (coords, feats, weights, map) = workload_parts(6, 10);
+        let order = FusedOrder::build(&map, coords.len());
         let n_out = coords.len();
         let expect = reference_output(&feats, &weights, &map, n_out);
         let mut ctx = ctx_with(OptimizationConfig::minkowski_engine());
@@ -1538,16 +1136,17 @@ mod tests {
             map: &map,
             n_out,
             center_identity: Some(13),
-            fused: None,
+            fused: &order,
             policy: None,
         };
-        let out = run_fetch_on_demand(&w, &mut ctx).unwrap();
+        let out = run_fetch_on_demand(&w, &mut ctx);
         assert!(out.max_abs_diff(&expect).unwrap() < 1e-3);
     }
 
     #[test]
     fn fp16_output_close_to_fp32() {
         let (coords, feats, weights, map) = workload_parts(8, 8);
+        let order = FusedOrder::build(&map, coords.len());
         let n_out = coords.len();
         let expect = reference_output(&feats, &weights, &map, n_out);
         let mut cfg = OptimizationConfig::torchsparse();
@@ -1561,7 +1160,7 @@ mod tests {
             map: &map,
             n_out,
             center_identity: Some(13),
-            fused: None,
+            fused: &order,
             policy: None,
         };
         let out = run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
@@ -1572,6 +1171,7 @@ mod tests {
     #[test]
     fn movement_latency_recorded() {
         let (coords, feats, weights, map) = workload_parts(8, 8);
+        let order = FusedOrder::build(&map, coords.len());
         let mut ctx = ctx_with(OptimizationConfig::baseline_fp32());
         let plan = plan_groups(&map.sizes(), true, GroupingStrategy::Separate);
         let w = ConvWorkload {
@@ -1581,7 +1181,7 @@ mod tests {
             map: &map,
             n_out: coords.len(),
             center_identity: Some(13),
-            fused: None,
+            fused: &order,
             policy: None,
         };
         run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
@@ -1593,6 +1193,7 @@ mod tests {
     #[test]
     fn center_shortcut_reduces_movement() {
         let (coords, feats, weights, map) = workload_parts(8, 8);
+        let order = FusedOrder::build(&map, coords.len());
         let run = |skip: bool| {
             let mut cfg = OptimizationConfig::baseline_fp32();
             cfg.skip_center_movement = skip;
@@ -1605,7 +1206,7 @@ mod tests {
                 map: &map,
                 n_out: coords.len(),
                 center_identity: Some(13),
-                fused: None,
+                fused: &order,
                 policy: None,
             };
             run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
@@ -1617,6 +1218,7 @@ mod tests {
     #[test]
     fn int8_runs_and_roughly_matches() {
         let (coords, feats, weights, map) = workload_parts(4, 4);
+        let order = FusedOrder::build(&map, coords.len());
         let n_out = coords.len();
         let expect = reference_output(&feats, &weights, &map, n_out);
         let mut cfg = OptimizationConfig::torchsparse();
@@ -1630,7 +1232,7 @@ mod tests {
             map: &map,
             n_out,
             center_identity: Some(13),
-            fused: None,
+            fused: &order,
             policy: None,
         };
         let out = run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
@@ -1644,69 +1246,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_executor_bitwise_matches_unfused() {
-        let (coords, feats, weights, map) = workload_parts(8, 16);
-        let n_out = coords.len();
-        let order = FusedOrder::build(&map, n_out);
-        for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-            for skip_center in [false, true] {
-                let mut cfg = OptimizationConfig::torchsparse();
-                cfg.precision = precision;
-                cfg.skip_center_movement = skip_center;
-                let run = |fused: Option<&FusedOrder>| {
-                    let mut ctx = ctx_with(cfg.clone());
-                    let plan = plan_groups(&map.sizes(), true, cfg.grouping);
-                    let w = ConvWorkload {
-                        in_feats: &feats,
-                        weights: &weights,
-                        packed: None,
-                        map: &map,
-                        n_out,
-                        center_identity: Some(13),
-                        fused,
-                        policy: None,
-                    };
-                    run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap()
-                };
-                assert_eq!(
-                    bits_of(&run(Some(&order))),
-                    bits_of(&run(None)),
-                    "{precision:?} skip_center={skip_center}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_fetch_on_demand_bitwise_matches_unfused() {
-        let (coords, feats, weights, map) = workload_parts(6, 10);
-        let n_out = coords.len();
-        let order = FusedOrder::build(&map, n_out);
-        let run = |fused: Option<&FusedOrder>| {
-            let mut ctx = ctx_with(OptimizationConfig::minkowski_engine());
-            let w = ConvWorkload {
-                in_feats: &feats,
-                weights: &weights,
-                packed: None,
-                map: &map,
-                n_out,
-                center_identity: Some(13),
-                fused,
-                policy: None,
-            };
-            run_fetch_on_demand(&w, &mut ctx).unwrap()
-        };
-        assert_eq!(bits_of(&run(Some(&order))), bits_of(&run(None)));
-    }
-
-    #[test]
     fn chunk_width_is_bitwise_neutral() {
         // Every gather/scatter chunk width the autotuner may pick streams
         // the same per-row addend order, so outputs are bit-identical to
-        // the default MOVE_CHUNK split — fused and unfused, exact on/off.
+        // the default MOVE_CHUNK split — exact accumulation on and off.
         let (coords, feats, weights, map) = workload_parts(8, 16);
         let n_out = coords.len();
-        let run = |order: &FusedOrder, exact: bool, use_fused: bool| {
+        let run = |order: &FusedOrder, exact: bool| {
             let mut cfg = OptimizationConfig::torchsparse();
             cfg.exact_accumulation = exact;
             let mut ctx = ctx_with(cfg.clone());
@@ -1718,7 +1264,7 @@ mod tests {
                 map: &map,
                 n_out,
                 center_identity: Some(13),
-                fused: use_fused.then_some(order),
+                fused: order,
                 policy: None,
             };
             run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap()
@@ -1729,25 +1275,20 @@ mod tests {
         let baseline = FusedOrder::build(&map, n_out);
         assert_eq!(baseline.chunk_rows(), MOVE_CHUNK);
         for exact in [false, true] {
-            for use_fused in [true, false] {
-                let expect = bits_of(&run(&baseline, exact, use_fused));
-                for chunk in [1, 32, 128, 256, 1000] {
-                    let order = FusedOrder::build_chunked(&map, n_out, chunk);
-                    assert_eq!(order.chunk_rows(), chunk);
-                    assert_eq!(
-                        bits_of(&run(&order, exact, use_fused)),
-                        expect,
-                        "chunk={chunk} exact={exact} fused={use_fused}"
-                    );
-                }
+            let expect = bits_of(&run(&baseline, exact));
+            for chunk in [1, 32, 128, 256, 1000] {
+                let order = FusedOrder::build_chunked(&map, n_out, chunk);
+                assert_eq!(order.chunk_rows(), chunk);
+                assert_eq!(bits_of(&run(&order, exact)), expect, "chunk={chunk} exact={exact}");
             }
         }
     }
 
     #[test]
     fn policy_overrides_config_knobs() {
-        // A plan-carried policy steers the fused route and SIMD kernel
-        // without touching the global config — and stays bit-identical.
+        // A plan-carried policy steers the SIMD kernel and the chunk/panel
+        // widths without touching the global config — and stays
+        // bit-identical.
         let (coords, feats, weights, map) = workload_parts(8, 16);
         let n_out = coords.len();
         let order = FusedOrder::build(&map, n_out);
@@ -1762,7 +1303,7 @@ mod tests {
                 map: &map,
                 n_out,
                 center_identity: Some(13),
-                fused: Some(&order),
+                fused: &order,
                 policy,
             };
             run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap()
@@ -1772,7 +1313,6 @@ mod tests {
         let expect = bits_of(&run(None));
         for policy in [
             base,
-            ExecPolicy { fused: false, ..base },
             ExecPolicy { simd: SimdPolicy::Portable, ..base },
             ExecPolicy { simd: SimdPolicy::Scalar, ..base },
             ExecPolicy { panel_rows: 32, chunk_rows: 256, ..base },

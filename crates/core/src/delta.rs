@@ -16,8 +16,8 @@
 //! ([`Context::seed_map`]) and the ordinary plan build then runs against
 //! them: every `plan()` call hits the seeded cache, skips search, and makes
 //! identical policy / grouping / ordering decisions — so a patched plan is
-//! *bitwise identical* to a from-scratch plan at every thread count, fused
-//! and unfused, with exact accumulation on or off.
+//! *bitwise identical* to a from-scratch plan at every thread count, with
+//! exact accumulation on or off.
 //!
 //! The walk is conservative: any situation where equality cannot be
 //! guaranteed — churn above `delta_replan_max_churn`, duplicate

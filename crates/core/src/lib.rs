@@ -63,8 +63,8 @@ pub mod tuning;
 pub mod validate;
 
 pub use config::{
-    coord_index_choice, exact_accum_enabled, fused_enabled, CoordIndexChoice, EnginePreset,
-    GroupingStrategy, MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
+    coord_index_choice, exact_accum_enabled, CoordIndexChoice, EnginePreset, GroupingStrategy,
+    MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
 };
 pub use context::{Context, Deadline, LayerProfile, LayerWorkload, MapKey};
 pub use conv::SparseConv3d;
@@ -75,7 +75,7 @@ pub use module::{Module, Sequential};
 pub use plan::{geometry_fingerprint, ExecutionPlan, LayerOp, PlanCacheStats, Tracer};
 pub use pointwise::{BatchNorm, GlobalPool, ReLU};
 pub use pooling::{PoolReduction, SparseMaxPool3d};
-pub use runtime::{Runtime, ThreadPool, WorkspacePool};
+pub use runtime::{Runtime, ThreadPool};
 pub use session::{CompiledModel, CompiledSession, StreamState};
 pub use sparse_tensor::SparseTensor;
 pub use tuning::{ExecPolicy, TuningReport};

@@ -125,11 +125,9 @@ pub(crate) struct ConvPlan {
     /// lazy pack cache: packing happens once per layer, and every frame
     /// executed against this plan streams the packed panels.
     pub(crate) packed: Arc<Vec<PackedB>>,
-    /// Plan-time locality ordering and scatter metadata (map entries
-    /// re-sorted by output row, split at output-chunk boundaries, with
-    /// original-index producer links). The fused executor streams it and
-    /// the unfused scatter partitions by it, so it is built unconditionally
-    /// — once per geometry, on the worker pool.
+    /// Plan-time locality ordering (map entries re-sorted by output row,
+    /// split at output-chunk boundaries). The executor streams it, so it is
+    /// built unconditionally — once per geometry, on the worker pool.
     pub(crate) fused: Arc<FusedOrder>,
     /// The tuned per-layer execution policy selected by the compile-time
     /// policy search, or `None` when untuned (global config behavior).

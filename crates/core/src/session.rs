@@ -21,7 +21,7 @@
 //! [`CompiledModel`] is the frozen, `Sync` half (traced ops + compile-time
 //! plan behind `Arc`) that N streams execute against concurrently, while
 //! [`StreamState`] is one stream's private half (engine context with its
-//! workspace arena and degradation report, plus that stream's plan slot
+//! fault injector and degradation report, plus that stream's plan slot
 //! and cache stats). [`CompiledSession`] remains the single-stream
 //! composition of the two; [`CompiledSession::into_parts`] opens it up.
 
@@ -103,8 +103,8 @@ pub struct CompiledModel<'m> {
 }
 
 /// One stream's private execution state: its engine (context with the
-/// workspace arena, fault injector, and degradation report), its plan
-/// slot, and its plan-cache counters.
+/// fault injector and degradation report), its plan slot, and its
+/// plan-cache counters.
 ///
 /// Created by [`CompiledModel::new_stream`] — and rebuilt the same way
 /// when a serving supervisor quarantines a poisoned stream: the state is

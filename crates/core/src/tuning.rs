@@ -15,9 +15,8 @@
 //!
 //! Beyond Algorithm 5's single grouping axis, this module also implements
 //! the compile-time **per-layer policy search** ([`autotune_plan`]): a
-//! product space of execution knobs ([`ExecPolicy`] — grouping, fused vs.
-//! unfused movement, SIMD kernel, gather/scatter chunk width, GEMM panel
-//! width) is pruned per traced layer with the `gpu-sim` cost models, the
+//! product space of execution knobs ([`ExecPolicy`] — grouping, SIMD
+//! kernel, gather/scatter chunk width, GEMM panel width) is pruned per traced layer with the `gpu-sim` cost models, the
 //! short-listed candidates are timed on microbenches of the layer's actual
 //! kernel map, and the winners are persisted in an on-disk database keyed
 //! by a geometry-class fingerprint so later sessions warm-start with zero
@@ -215,16 +214,14 @@ pub fn tune_engine<M: Module + ?Sized>(
 /// convolution and threads it through [`ConvPlan`] so `execute` consults the
 /// plan instead of the global [`OptimizationConfig`]. **Every selectable
 /// policy is bitwise-neutral**: grouping only re-batches per-offset GEMMs
-/// whose scatter accumulation is order-independent, the fused and unfused
-/// executors are bit-identical, all SIMD kernels keep the scalar
+/// whose scatter accumulation is order-independent, all SIMD kernels keep
+/// the scalar
 /// accumulation order, and chunk/panel widths only re-partition work along
 /// row boundaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecPolicy {
     /// Matmul grouping strategy (including tuned adaptive `(epsilon, S)`).
     pub grouping: GroupingStrategy,
-    /// Fused gather–GEMM–scatter route vs. materialized buffers.
-    pub fused: bool,
     /// Compute-kernel selection for GEMM and precision sweeps.
     pub simd: SimdPolicy,
     /// Output rows per gather/scatter chunk (locality-order granularity).
@@ -239,7 +236,6 @@ impl ExecPolicy {
     pub fn from_config(config: &OptimizationConfig) -> ExecPolicy {
         ExecPolicy {
             grouping: config.grouping,
-            fused: config.fused_execution,
             simd: config.simd,
             chunk_rows: DEFAULT_WIDTH,
             panel_rows: DEFAULT_WIDTH,
@@ -344,8 +340,8 @@ fn elem_bytes(precision: Precision) -> f64 {
 /// Coarse on purpose: voxel count is binned to powers of two and map
 /// density to deciles, so near-identical geometries (successive LiDAR
 /// frames, re-voxelized scenes) share one entry, while channel shape,
-/// kernel volume, submanifold-ness, precision, the fused-execution config,
-/// and the device *family* stay exact — a winner does not transfer across
+/// kernel volume, submanifold-ness, precision, and the device *family*
+/// stay exact — a winner does not transfer across
 /// those. Keying by architecture family rather than board name lets a
 /// replica on an RTX 3080 warm-start from policies tuned on an RTX 3090.
 #[allow(clippy::too_many_arguments)] // the key's components, nothing more
@@ -370,24 +366,19 @@ fn policy_key(
     let device: String =
         device_family.chars().map(|c| if c.is_whitespace() { '-' } else { c }).collect();
     format!(
-        "v{voxel_bin}:d{decile}:c{c_in}x{c_out}:k{}:sm{}:{precision}:fe{}:{device}",
+        "v{voxel_bin}:d{decile}:c{c_in}x{c_out}:k{}:sm{}:{precision}:{device}",
         volume.max(1),
         u8::from(submanifold),
-        u8::from(config.fused_execution),
     )
 }
 
 /// Clamps a warm-start database entry to what the current configuration
 /// allows: the SIMD choice is pinned to the config's (the search never
-/// un-pins an explicit kernel), fused execution cannot be enabled against a
-/// config that disabled it, widths must come from the selectable set, and
+/// un-pins an explicit kernel), widths must come from the selectable set, and
 /// adaptive grouping parameters must be valid. Returns `None` when the
 /// entry cannot be made consistent — the layer then searches fresh.
 fn sanitize_policy(mut p: ExecPolicy, config: &OptimizationConfig) -> Option<ExecPolicy> {
     p.simd = config.simd;
-    if !config.fused_execution {
-        p.fused = false;
-    }
     if !WIDTHS.contains(&p.chunk_rows) || !WIDTHS.contains(&p.panel_rows) {
         return None;
     }
@@ -436,7 +427,7 @@ fn measure_candidate(
             map: p.map(),
             n_out: p.out_coords().len(),
             center_identity: p.center,
-            fused: Some(fused),
+            fused,
             policy: Some(cand),
         };
         let start = std::time::Instant::now();
@@ -453,7 +444,7 @@ fn measure_candidate(
 ///
 /// Pipeline: (1) the `gpu-sim` priors short-list each axis — grouping by
 /// simulated grouped-GEMM latency, chunk/panel widths by the partitioned
-/// streaming model — with the fused route kept binary; (2) layers above
+/// streaming model; (2) layers above
 /// [`MEASURE_FLOOR`] map entries time the (deduplicated) cartesian
 /// short-list on real microbenches and keep the fastest, persisting the
 /// winner to the database; (3) smaller layers take the prior-best
@@ -502,25 +493,17 @@ fn tune_layer(
         * elem_bytes(ctx.config.precision);
     let chunks = width_candidates(move_bytes, n_out, &ctx.gemm);
     let panels = width_candidates(move_bytes, total_entries, &ctx.gemm);
-    let fused_routes: &[bool] = if ctx.config.fused_execution { &[true, false] } else { &[false] };
 
     // Deduplicated cartesian short-list, exact default first so wall-clock
     // ties keep the untuned behavior.
     let mut shortlist = vec![default];
     for &g in &groupings {
-        for &fused in fused_routes {
-            for &chunk_rows in &chunks {
-                for &panel_rows in &panels {
-                    let cand = ExecPolicy {
-                        grouping: g,
-                        fused,
-                        simd: ctx.config.simd,
-                        chunk_rows,
-                        panel_rows,
-                    };
-                    if !shortlist.contains(&cand) {
-                        shortlist.push(cand);
-                    }
+        for &chunk_rows in &chunks {
+            for &panel_rows in &panels {
+                let cand =
+                    ExecPolicy { grouping: g, simd: ctx.config.simd, chunk_rows, panel_rows };
+                if !shortlist.contains(&cand) {
+                    shortlist.push(cand);
                 }
             }
         }
@@ -697,15 +680,15 @@ pub(crate) fn autotune_plan(
 /// takes no serialization dependency), written atomically via a temp file +
 /// rename in the same directory.
 ///
-/// Schema (`version` 2, which added the architecture-family device
-/// component of the key — version-1 databases are treated as stale and
-/// rebuilt):
+/// Schema (`version` 3, which dropped the fused-route component of the
+/// key and the entry's `"fused"` field when the CPU executor became a
+/// single route — older versions are treated as stale and rebuilt):
 ///
 /// ```json
-/// {"version":2,"entries":[
-///   {"key":"v15:d2:c32x64:k27:sm1:fp16:fe1:turing",
+/// {"version":3,"entries":[
+///   {"key":"v15:d2:c32x64:k27:sm1:fp16:turing",
 ///    "mode":"adaptive","epsilon":0.3,"s":150000,
-///    "fused":true,"simd":"auto","chunk":64,"panel":128}
+///    "simd":"auto","chunk":64,"panel":128}
 /// ]}
 /// ```
 ///
@@ -720,7 +703,7 @@ mod db {
     use std::path::Path;
 
     /// Database schema version; mismatches are treated as corrupt.
-    const VERSION: f64 = 2.0;
+    const VERSION: f64 = 3.0;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -757,13 +740,6 @@ mod db {
         fn as_str(&self) -> Option<&str> {
             match self {
                 Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        fn as_bool(&self) -> Option<bool> {
-            match self {
-                Json::Bool(b) => Some(*b),
                 _ => None,
             }
         }
@@ -984,7 +960,6 @@ mod db {
         };
         Some(ExecPolicy {
             grouping,
-            fused: entry.get("fused")?.as_bool()?,
             simd,
             chunk_rows: entry.get("chunk")?.as_width()?,
             panel_rows: entry.get("panel")?.as_width()?,
@@ -1014,8 +989,8 @@ mod db {
             SimdPolicy::Scalar => "scalar",
         };
         out.push_str(&format!(
-            "\"fused\":{},\"simd\":\"{simd}\",\"chunk\":{},\"panel\":{}}}",
-            p.fused, p.chunk_rows, p.panel_rows
+            "\"simd\":\"{simd}\",\"chunk\":{},\"panel\":{}}}",
+            p.chunk_rows, p.panel_rows
         ));
     }
 
@@ -1051,7 +1026,7 @@ mod db {
     /// Stores the database atomically: serialized to a temp file in the
     /// target directory, then renamed over the destination.
     pub(super) fn store(path: &Path, entries: &HashMap<String, ExecPolicy>) -> Result<(), String> {
-        let mut text = String::from("{\"version\":2,\"entries\":[");
+        let mut text = format!("{{\"version\":{VERSION},\"entries\":[");
         // Deterministic file contents: entries sorted by key.
         let mut keys: Vec<&String> = entries.keys().collect();
         keys.sort();
@@ -1193,10 +1168,9 @@ mod tests {
         let path = temp_db("roundtrip");
         let mut entries = HashMap::new();
         entries.insert(
-            "v12:d3:c32x64:k27:sm1:fp16:fe1:RTX-2080-Ti".to_owned(),
+            "v12:d3:c32x64:k27:sm1:fp16:RTX-2080-Ti".to_owned(),
             ExecPolicy {
                 grouping: GroupingStrategy::Adaptive { epsilon: 0.3, s_threshold: 150_000 },
-                fused: true,
                 simd: SimdPolicy::Auto,
                 chunk_rows: 64,
                 panel_rows: 128,
@@ -1204,20 +1178,18 @@ mod tests {
         );
         // The usize::MAX threshold sentinel round-trips as the string "max".
         entries.insert(
-            "v9:d1:c4x8:k27:sm0:fp32:fe0:cpu".to_owned(),
+            "v9:d1:c4x8:k27:sm0:fp32:cpu".to_owned(),
             ExecPolicy {
                 grouping: GroupingStrategy::Adaptive { epsilon: 1.0, s_threshold: usize::MAX },
-                fused: false,
                 simd: SimdPolicy::Scalar,
                 chunk_rows: 32,
                 panel_rows: 256,
             },
         );
         entries.insert(
-            "v15:d0:c8x8:k1:sm1:int8:fe1:gpu \"quoted\\name\"".to_owned(),
+            "v15:d0:c8x8:k1:sm1:int8:gpu \"quoted\\name\"".to_owned(),
             ExecPolicy {
                 grouping: GroupingStrategy::Fixed,
-                fused: true,
                 simd: SimdPolicy::Portable,
                 chunk_rows: 128,
                 panel_rows: 64,
@@ -1243,11 +1215,11 @@ mod tests {
     fn corrupt_db_fails_to_load() {
         for (name, text) in [
             ("garbage", "not json at all"),
-            ("truncated", "{\"version\":2,\"entries\":[{\"key\":\"x\""),
+            ("truncated", "{\"version\":3,\"entries\":[{\"key\":\"x\""),
             ("no-version", "{\"entries\":[]}"),
-            ("no-entries", "{\"version\":2}"),
-            ("bad-entry", "{\"version\":2,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
-            ("trailing", "{\"version\":2,\"entries\":[]} extra"),
+            ("no-entries", "{\"version\":3}"),
+            ("bad-entry", "{\"version\":3,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
+            ("trailing", "{\"version\":3,\"entries\":[]} extra"),
         ] {
             let path = temp_db(name);
             std::fs::write(&path, text).unwrap();
@@ -1259,9 +1231,11 @@ mod tests {
     #[test]
     fn stale_db_version_fails_to_load() {
         let path = temp_db("stale");
-        std::fs::write(&path, "{\"version\":1,\"entries\":[]}").unwrap();
-        let err = db::load(&path).unwrap_err();
-        assert!(err.contains("version"), "{err}");
+        for version in [1, 2] {
+            std::fs::write(&path, format!("{{\"version\":{version},\"entries\":[]}}")).unwrap();
+            let err = db::load(&path).unwrap_err();
+            assert!(err.contains("version"), "{err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1270,7 +1244,6 @@ mod tests {
         let config = EnginePreset::TorchSparse.config();
         let stored = ExecPolicy {
             grouping: GroupingStrategy::Adaptive { epsilon: 0.5, s_threshold: 1000 },
-            fused: true,
             simd: SimdPolicy::Scalar,
             chunk_rows: 128,
             panel_rows: 64,
@@ -1278,10 +1251,6 @@ mod tests {
         let got = sanitize_policy(stored, &config).unwrap();
         assert_eq!(got.simd, config.simd, "SIMD is pinned to the config");
         assert_eq!(got.chunk_rows, 128);
-
-        // Fused cannot be enabled against a config that disabled it.
-        let unfused = OptimizationConfig { fused_execution: false, ..config.clone() };
-        assert!(!sanitize_policy(stored, &unfused).unwrap().fused);
 
         // A non-adaptive config pins grouping entirely.
         let separate =

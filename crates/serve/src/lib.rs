@@ -5,7 +5,7 @@
 //! LiDAR stream against a shared [`CompiledModel`]
 //! (torchsparse_core::CompiledModel) — the frozen, `Sync` half of a
 //! compiled session — while each worker owns a private
-//! [`StreamState`](torchsparse_core::StreamState) (workspace arena,
+//! [`StreamState`](torchsparse_core::StreamState) (fault injector,
 //! degradation report, plan slot). Four robustness layers stack on top:
 //!
 //! - **Admission control and load shedding** ([`ServiceConfig::admission`],

@@ -104,25 +104,6 @@ impl Matrix {
         self.data.is_empty()
     }
 
-    /// Heap capacity of the underlying buffer, in elements. Workspace
-    /// recycling uses this to pick a buffer that needs no reallocation.
-    pub fn capacity(&self) -> usize {
-        self.data.capacity()
-    }
-
-    /// Reshapes the matrix to `rows x cols` with all elements zeroed,
-    /// reusing the existing heap buffer when its capacity suffices.
-    ///
-    /// This is the workspace-recycling primitive: a gather/psum buffer taken
-    /// from a pool is resized to the current layer's shape without touching
-    /// the allocator (after warm-up).
-    pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
-        self.rows = rows;
-        self.cols = cols;
-    }
-
     /// The underlying row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -197,17 +178,6 @@ impl Matrix {
             data.extend_from_slice(&b.data);
         }
         Ok(Matrix { rows, cols, data })
-    }
-
-    /// Zero-pads (or truncates) the matrix to `new_rows` rows.
-    ///
-    /// Used by fixed/adaptive grouping to pad per-weight feature buffers to a
-    /// common batch row count before `bmm` (paper Figure 6c/d).
-    pub fn resized_rows(&self, new_rows: usize) -> Matrix {
-        let mut m = Matrix::zeros(new_rows, self.cols);
-        let n = self.rows.min(new_rows);
-        m.data[..n * self.cols].copy_from_slice(&self.data[..n * self.cols]);
-        m
     }
 
     /// Maximum absolute difference against another matrix of the same shape.
@@ -528,22 +498,6 @@ mod tests {
     #[test]
     fn vstack_empty_is_empty() {
         assert_eq!(Matrix::vstack(&[]).unwrap().shape(), (0, 0));
-    }
-
-    #[test]
-    fn resized_rows_pads_with_zeros() {
-        let m = Matrix::filled(2, 3, 5.0);
-        let p = m.resized_rows(4);
-        assert_eq!(p.shape(), (4, 3));
-        assert_eq!(p.row(1), &[5.0, 5.0, 5.0]);
-        assert_eq!(p.row(3), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn resized_rows_truncates() {
-        let m = Matrix::from_fn(3, 1, |r, _| r as f32);
-        let t = m.resized_rows(2);
-        assert_eq!(t.as_slice(), &[0.0, 1.0]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The coordinate-index determinism contract: the index structure a plan
 //! uses to resolve coordinates (legacy hashmap, dense grid, or the succinct
 //! MPHF cascade) is a pure representation choice. Every choice must produce
-//! bitwise-identical outputs across dataflows, fused/unfused routes, and
-//! thread counts — only `MappingStats` and simulated latency may differ.
+//! bitwise-identical outputs across dataflows and thread counts — only `MappingStats` and simulated latency may differ.
 
 use torchsparse::coords::Coord;
 use torchsparse::core::{
@@ -66,8 +65,7 @@ fn output_bits<M: Module>(
     (y.coords().to_vec(), bits)
 }
 
-/// The acceptance sweep: 4 index choices x 3 dataflows x fused/unfused x
-/// 1/8 threads, all bitwise identical within each dataflow. A model with
+/// The acceptance sweep: 4 index choices x 3 dataflows x 1/8 threads, all bitwise identical within each dataflow. A model with
 /// strided downsamples and a decoder exercises forward, downsample, and
 /// transposed kernel maps — the CSR slice-view, the resort path, and the
 /// MPHF query path all run.
@@ -78,21 +76,17 @@ fn coord_index_choice_is_bitwise_invisible_across_dataflows_routes_threads() {
     for (dataflow, cfg) in dataflow_configs() {
         let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
         for choice in CHOICES {
-            for fused in [false, true] {
-                for threads in THREADS {
-                    let mut cfg = cfg.clone();
-                    cfg.coord_index = choice;
-                    cfg.fused_execution = fused;
-                    cfg.threads = Some(threads);
-                    let out = output_bits(cfg, &m, &x);
-                    match &reference {
-                        None => reference = Some(out),
-                        Some(r) => assert_eq!(
-                            r, &out,
-                            "{dataflow} diverges with coord_index={choice:?} fused={fused} \
-                             at {threads} threads"
-                        ),
-                    }
+            for threads in THREADS {
+                let mut cfg = cfg.clone();
+                cfg.coord_index = choice;
+                cfg.threads = Some(threads);
+                let out = output_bits(cfg, &m, &x);
+                match &reference {
+                    None => reference = Some(out),
+                    Some(r) => assert_eq!(
+                        r, &out,
+                        "{dataflow} diverges with coord_index={choice:?} at {threads} threads"
+                    ),
                 }
             }
         }

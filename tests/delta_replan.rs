@@ -1,8 +1,8 @@
 //! Incremental delta re-planning must be invisible: a compiled session fed a
 //! temporally churning stream patches its frozen plan in place, and every
 //! patched frame must be bitwise identical to compiling the model from
-//! scratch on that frame — across dataflow presets, fused/unfused execution,
-//! thread counts, and exact-accumulation modes. Above the churn threshold the
+//! scratch on that frame — across dataflow presets, thread counts, and
+//! exact-accumulation modes. Above the churn threshold the
 //! session falls back to a full re-plan, still bitwise identical.
 
 use std::sync::Arc;
@@ -116,26 +116,23 @@ fn mixed_churn_matches_cold_replan_across_presets_threads_fusion() {
     for preset in
         [EnginePreset::BaselineFp32, EnginePreset::TorchSparse, EnginePreset::MinkowskiEngine]
     {
-        for fused in [false, true] {
-            for threads in [1usize, 8] {
-                let mut cfg = fp32_config(preset);
-                cfg.fused_execution = fused;
-                cfg.threads = Some(threads);
-                let label = format!("{preset:?}/fused={fused}/threads={threads}");
-                let stats = assert_stream_matches_cold(&model, &frames, &cfg, &label);
-                assert_partition(&stats, &label);
-                // 1 miss for the initial compile + 3 geometry changes.
-                assert_eq!(stats.misses, 4, "{label}: compile plus 3 geometry changes");
-                if !delta_env_forced() {
-                    assert_eq!(
-                        stats.delta_patches, 3,
-                        "{label}: every low-churn frame should take the delta patch path ({stats:?})"
-                    );
-                    assert_eq!(
-                        stats.delta_fallbacks, 0,
-                        "{label}: churn 8% is under the 15% threshold"
-                    );
-                }
+        for threads in [1usize, 8] {
+            let mut cfg = fp32_config(preset);
+            cfg.threads = Some(threads);
+            let label = format!("{preset:?}/threads={threads}");
+            let stats = assert_stream_matches_cold(&model, &frames, &cfg, &label);
+            assert_partition(&stats, &label);
+            // 1 miss for the initial compile + 3 geometry changes.
+            assert_eq!(stats.misses, 4, "{label}: compile plus 3 geometry changes");
+            if !delta_env_forced() {
+                assert_eq!(
+                    stats.delta_patches, 3,
+                    "{label}: every low-churn frame should take the delta patch path ({stats:?})"
+                );
+                assert_eq!(
+                    stats.delta_fallbacks, 0,
+                    "{label}: churn 8% is under the 15% threshold"
+                );
             }
         }
     }

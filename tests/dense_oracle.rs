@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use torchsparse::coords::offsets::kernel_offsets;
 use torchsparse::coords::Coord;
-use torchsparse::core::{Engine, EnginePreset, SparseConv3d, SparseTensor};
+use torchsparse::core::{Engine, EnginePreset, Precision, SparseConv3d, SparseTensor};
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::tensor::dense::{submanifold_conv3d_reference, ConvWeights, DenseVolume};
 use torchsparse::tensor::Matrix;
@@ -36,6 +36,10 @@ fn weights_for(conv: &SparseConv3d, c: usize) -> ConvWeights {
     ConvWeights::new(3, c, c, conv.weights().to_vec()).expect("consistent weights")
 }
 
+/// Every dataflow against the dense reference: grouped
+/// gather-matmul-scatter (the TorchSparse preset at FP32), the ungrouped
+/// per-offset baseline, and fetch-on-demand (forced by an infinite
+/// threshold).
 #[test]
 fn sparse_matches_dense_oracle_fixed_scene() {
     let sites: Vec<(usize, usize, usize)> =
@@ -44,20 +48,27 @@ fn sparse_matches_dense_oracle_fixed_scene() {
     let (sparse, dense) = build_pair(&sites, [8, 8, 8], c);
     let conv = SparseConv3d::with_random_weights("c", c, c, 3, 1, 77);
 
-    let mut engine = Engine::new(EnginePreset::BaselineFp32, DeviceProfile::rtx_2080ti());
-    let out = engine.run(&conv, &sparse).expect("sparse conv");
-
     let offsets = kernel_offsets(3).expect("kernel offsets");
     let expect = submanifold_conv3d_reference(&dense, &weights_for(&conv, c), &offsets);
 
-    for (i, coord) in out.coords().iter().enumerate() {
-        let d = expect.at([coord.x as usize, coord.y as usize, coord.z as usize]);
-        for (ch, &v) in out.feats().row(i).iter().enumerate() {
-            assert!(
-                (v - d[ch]).abs() < 1e-3,
-                "mismatch at {coord} channel {ch}: sparse {v} dense {}",
-                d[ch]
-            );
+    let mut grouped = EnginePreset::TorchSparse.config();
+    grouped.precision = Precision::Fp32;
+    let separate = EnginePreset::BaselineFp32.config();
+    let mut fod = EnginePreset::BaselineFp32.config();
+    fod.fetch_on_demand_below = Some(usize::MAX);
+    for (dataflow, cfg) in [("grouped", grouped), ("separate", separate), ("fetch-on-demand", fod)]
+    {
+        let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
+        let out = engine.run(&conv, &sparse).expect("sparse conv");
+        for (i, coord) in out.coords().iter().enumerate() {
+            let d = expect.at([coord.x as usize, coord.y as usize, coord.z as usize]);
+            for (ch, &v) in out.feats().row(i).iter().enumerate() {
+                assert!(
+                    (v - d[ch]).abs() < 1e-3,
+                    "{dataflow}: mismatch at {coord} channel {ch}: sparse {v} dense {}",
+                    d[ch]
+                );
+            }
         }
     }
 }
@@ -75,7 +86,7 @@ proptest! {
 
         // Use the fully optimized engine (FP32 to keep exactness).
         let mut cfg = EnginePreset::TorchSparse.config();
-        cfg.precision = torchsparse::core::Precision::Fp32;
+        cfg.precision = Precision::Fp32;
         let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_3090());
         let out = engine.run(&conv, &sparse).expect("sparse conv");
 

@@ -3,9 +3,8 @@
 //!
 //! With `exact_accumulation` on (the default), every output element is the
 //! single correctly rounded sum of its partial products, so the engine's
-//! bits are reproducible across thread counts, chunk partitionings, and
-//! the fused/unfused executors *by arithmetic* — no ordering discipline
-//! required. With it off, the engine must reproduce the historical
+//! bits are reproducible across thread counts and chunk partitionings *by
+//! arithmetic* — no ordering discipline required. With it off, the engine must reproduce the historical
 //! serial-order bits (the pre-superaccumulator contract) at every thread
 //! count. Both modes are checked against the FNV-1a digests pinned in
 //! `tests/common`. The property tests at the bottom pin the accumulator
@@ -24,9 +23,9 @@ use torchsparse::core::{Engine, EnginePreset, Precision, SimdPolicy};
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::tensor::accum::{exact_sum, ExactAccumulator};
 
-/// Exact accumulation on: 1/2/8 threads x 3 dataflows x 3 precisions x
-/// fused/unfused all hit the pinned digest — the acceptance sweep of the
-/// order-independent determinism contract.
+/// Exact accumulation on: 1/2/8 threads x 3 dataflows x 3 precisions all
+/// hit the pinned digest — the acceptance sweep of the order-independent
+/// determinism contract.
 #[test]
 fn exact_on_bitwise_identical_across_threads_dataflows_precisions_routes() {
     if forced_exact_mode() == Some(false) {
@@ -36,28 +35,23 @@ fn exact_on_bitwise_identical_across_threads_dataflows_precisions_routes() {
     for (dataflow, cfg) in dataflow_configs() {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
             let digest = pinned(dataflow, precision, true);
-            for fused in [false, true] {
-                for threads in THREADS {
-                    let mut cfg = cfg.clone();
-                    cfg.precision = precision;
-                    cfg.fused_execution = fused;
-                    cfg.exact_accumulation = true;
-                    let (_, bits) = output_bits(cfg, threads, &m, &x);
-                    assert_eq!(
-                        fnv1a(&bits),
-                        digest,
-                        "{dataflow} @ {precision:?} with fused={fused} at {threads} threads: \
-                         exact-on output bits changed"
-                    );
-                }
+            for threads in THREADS {
+                let mut cfg = cfg.clone();
+                cfg.precision = precision;
+                cfg.exact_accumulation = true;
+                let (_, bits) = output_bits(cfg, threads, &m, &x);
+                assert_eq!(
+                    fnv1a(&bits),
+                    digest,
+                    "{dataflow} @ {precision:?} at {threads} threads: exact-on output bits changed"
+                );
             }
         }
     }
 }
 
-/// The 16-bit precisions' exact-on output bits at 1 thread, on both
-/// routes: these digests predate the binary16-lane reduction and must
-/// never move.
+/// The 16-bit precisions' exact-on output bits at 1 thread: these digests
+/// predate the binary16-lane reduction and must never move.
 #[test]
 fn exact_on_fp16_int8_bits_match_pinned_digests() {
     if forced_exact_mode() == Some(false) {
@@ -66,24 +60,21 @@ fn exact_on_fp16_int8_bits_match_pinned_digests() {
     let (x, m) = fixture();
     for (dataflow, cfg) in dataflow_configs() {
         for precision in [Precision::Fp16, Precision::Int8] {
-            for fused in [false, true] {
-                let mut cfg = cfg.clone();
-                cfg.precision = precision;
-                cfg.fused_execution = fused;
-                cfg.exact_accumulation = true;
-                let (_, bits) = output_bits(cfg, 1, &m, &x);
-                assert_eq!(
-                    fnv1a(&bits),
-                    pinned(dataflow, precision, true),
-                    "{dataflow} @ {precision:?} with fused={fused}: output bits changed"
-                );
-            }
+            let mut cfg = cfg.clone();
+            cfg.precision = precision;
+            cfg.exact_accumulation = true;
+            let (_, bits) = output_bits(cfg, 1, &m, &x);
+            assert_eq!(
+                fnv1a(&bits),
+                pinned(dataflow, precision, true),
+                "{dataflow} @ {precision:?}: output bits changed"
+            );
         }
     }
 }
 
-/// Exact accumulation off: every thread count, SIMD policy and route
-/// reproduces the historical serial-order bits, pinned as digests.
+/// Exact accumulation off: every thread count and SIMD policy reproduces
+/// the historical serial-order bits, pinned as digests.
 #[test]
 fn exact_off_reproduces_historical_serial_order_bits() {
     if forced_exact_mode() == Some(true) {
@@ -94,21 +85,18 @@ fn exact_off_reproduces_historical_serial_order_bits() {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
             let digest = pinned(dataflow, precision, false);
             for simd in [SimdPolicy::Scalar, SimdPolicy::Portable, SimdPolicy::Auto] {
-                for fused in [false, true] {
-                    for threads in THREADS {
-                        let mut cfg = cfg.clone();
-                        cfg.precision = precision;
-                        cfg.simd = simd;
-                        cfg.fused_execution = fused;
-                        cfg.exact_accumulation = false;
-                        let (_, bits) = output_bits(cfg, threads, &m, &x);
-                        assert_eq!(
-                            fnv1a(&bits),
-                            digest,
-                            "{dataflow} @ {precision:?}/{simd:?} with fused={fused} at \
-                             {threads} threads must reproduce the historical serial-order bits"
-                        );
-                    }
+                for threads in THREADS {
+                    let mut cfg = cfg.clone();
+                    cfg.precision = precision;
+                    cfg.simd = simd;
+                    cfg.exact_accumulation = false;
+                    let (_, bits) = output_bits(cfg, threads, &m, &x);
+                    assert_eq!(
+                        fnv1a(&bits),
+                        digest,
+                        "{dataflow} @ {precision:?}/{simd:?} at {threads} threads must \
+                         reproduce the historical serial-order bits"
+                    );
                 }
             }
         }

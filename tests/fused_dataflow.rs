@@ -1,28 +1,14 @@
 //! The fused gather–GEMM–scatter executor must be invisible in the
 //! results: for every dataflow, storage precision, SIMD policy, and worker
-//! count, running with `fused_execution` on or off hits the output digests
-//! pinned in `tests/common` — while the fused route takes no movement
-//! workspace buffers at all.
+//! count, the output hits the digest pinned in `tests/common`.
 
 mod common;
 
-use common::{
-    dataflow_configs, fixture, fnv1a, forced_exact_mode, model, output_bits, pinned, tensor_from,
-};
-use torchsparse::core::{Engine, Precision, SimdPolicy};
-use torchsparse::gpusim::DeviceProfile;
+use common::{dataflow_configs, fixture, fnv1a, forced_exact_mode, output_bits, pinned, THREADS};
+use torchsparse::core::{Precision, SimdPolicy};
 
-/// Whether the `TORCHSPARSE_FUSED` environment override is forcing the
-/// unfused path (the verify recipe's A/B suite does this), which makes
-/// workspace-avoidance assertions meaningless.
-fn forced_unfused() -> bool {
-    std::env::var("TORCHSPARSE_FUSED")
-        .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
-}
-
-/// 3 dataflows x 3 precisions x 3 SIMD policies x 1/2/8 worker threads,
-/// fused and unfused: every run hits the pinned digest of the accumulation
-/// mode in force.
+/// 3 dataflows x 3 precisions x 3 SIMD policies x 1/2/8 worker threads:
+/// every run hits the pinned digest of the accumulation mode in force.
 #[test]
 fn fused_bitwise_identical_across_dataflows_precisions_kernels_threads() {
     let (x, m) = fixture();
@@ -31,88 +17,19 @@ fn fused_bitwise_identical_across_dataflows_precisions_kernels_threads() {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
             let digest = pinned(dataflow, precision, exact);
             for policy in [SimdPolicy::Scalar, SimdPolicy::Portable, SimdPolicy::Auto] {
-                for fused in [false, true] {
-                    for threads in common::THREADS {
-                        let mut cfg = cfg.clone();
-                        cfg.precision = precision;
-                        cfg.simd = policy;
-                        cfg.fused_execution = fused;
-                        let (_, bits) = output_bits(cfg, threads, &m, &x);
-                        assert_eq!(
-                            fnv1a(&bits),
-                            digest,
-                            "{dataflow} @ {precision:?}/{policy:?} with fused={fused} at \
-                             {threads} threads: output bits changed"
-                        );
-                    }
+                for threads in THREADS {
+                    let mut cfg = cfg.clone();
+                    cfg.precision = precision;
+                    cfg.simd = policy;
+                    let (_, bits) = output_bits(cfg, threads, &m, &x);
+                    assert_eq!(
+                        fnv1a(&bits),
+                        digest,
+                        "{dataflow} @ {precision:?}/{policy:?} at {threads} threads: \
+                         output bits changed"
+                    );
                 }
             }
         }
     }
-}
-
-/// Fused forward passes never touch the workspace arena: where the
-/// buffered path takes gather/psum (and fetch-on-demand scratch) buffers
-/// every layer, the fused executor streams map rows straight through
-/// register tiles — fresh allocations *and* recycled takes both stay at
-/// zero, first pass and steady state alike. Scatter metadata is equally
-/// plan-time-only: the producer ordering lives in the frozen `FusedOrder`,
-/// so no engine pass may fall back to an on-the-spot rebuild.
-#[test]
-fn fused_passes_take_no_movement_workspaces() {
-    if forced_unfused() {
-        return; // this suite run is explicitly exercising the unfused path
-    }
-    let sites: Vec<(i32, i32, i32)> =
-        (0..200).map(|i| ((i * 3) % 13 - 6, (i * 11) % 15 - 7, (i * 7) % 11 - 5)).collect();
-    let x = tensor_from(&sites, 4, 7);
-    let m = model(4, 7);
-    let fallbacks_before = torchsparse::core::dataflow::scatter_fallback_builds();
-    for (dataflow, cfg) in dataflow_configs() {
-        let mut cfg = cfg.clone();
-        cfg.fused_execution = true;
-        let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-        engine.run(&m, &x).expect("first pass");
-        engine.run(&m, &x).expect("second pass");
-        let ws = &engine.context().runtime.workspaces;
-        assert_eq!(
-            ws.fresh_allocations, 0,
-            "{dataflow}: fused passes must not allocate gather/psum buffers"
-        );
-        assert_eq!(
-            ws.total_takes(),
-            0,
-            "{dataflow}: fused passes must not take workspace buffers at all"
-        );
-    }
-    assert_eq!(
-        torchsparse::core::dataflow::scatter_fallback_builds(),
-        fallbacks_before,
-        "engine passes must reuse plan-time scatter metadata, not rebuild it per call"
-    );
-}
-
-/// The unfused scatter also runs entirely on plan-time metadata: a parallel
-/// buffered pass (which before this ordering existed rebuilt per-output
-/// producer lists every call) triggers zero fallback builds.
-#[test]
-fn unfused_scatter_reuses_plan_time_metadata() {
-    let sites: Vec<(i32, i32, i32)> =
-        (0..200).map(|i| ((i * 5) % 13 - 6, (i * 9) % 15 - 7, (i * 7) % 11 - 5)).collect();
-    let x = tensor_from(&sites, 4, 11);
-    let m = model(4, 11);
-    let fallbacks_before = torchsparse::core::dataflow::scatter_fallback_builds();
-    for (_, cfg) in dataflow_configs() {
-        let mut cfg = cfg.clone();
-        cfg.fused_execution = false;
-        cfg.threads = Some(4);
-        let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-        engine.run(&m, &x).expect("first pass");
-        engine.run(&m, &x).expect("second pass");
-    }
-    assert_eq!(
-        torchsparse::core::dataflow::scatter_fallback_builds(),
-        fallbacks_before,
-        "unfused scatter must stream the frozen FusedOrder, not rebuild producer lists"
-    );
 }

@@ -1,8 +1,7 @@
 //! The parallel execution runtime must be invisible in the results: for
 //! every dataflow and storage precision, the engine's output is bitwise
-//! identical at any worker count, workspace buffers are recycled across
-//! forward passes, and fault-injection fallbacks behave exactly as they do
-//! on the serial engine.
+//! identical at any worker count, and fault-injection fallbacks behave
+//! exactly as they do on the serial engine.
 
 use proptest::prelude::*;
 use torchsparse::coords::Coord;
@@ -38,15 +37,15 @@ fn model(c: usize, seed: u64) -> Sequential {
         .push(SparseConv3d::with_random_weights("conv2", 8, c, 3, 1, seed + 2))
 }
 
-/// The three dataflow configurations of the engine: fused
-/// gather-matmul-scatter (TorchSparse), unfused per-offset baseline, and
+/// The three dataflow configurations of the engine: grouped
+/// gather-matmul-scatter (TorchSparse), ungrouped per-offset baseline, and
 /// fetch-on-demand (forced by an infinite threshold).
 fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
-    let fused = EnginePreset::TorchSparse.config();
-    let unfused = EnginePreset::BaselineFp32.config();
+    let grouped = EnginePreset::TorchSparse.config();
+    let separate = EnginePreset::BaselineFp32.config();
     let mut fod = EnginePreset::BaselineFp32.config();
     fod.fetch_on_demand_below = Some(usize::MAX);
-    vec![("fused", fused), ("unfused", unfused), ("fetch-on-demand", fod)]
+    vec![("grouped", grouped), ("separate", separate), ("fetch-on-demand", fod)]
 }
 
 fn output_bits<M: Module>(
@@ -143,42 +142,6 @@ fn simd_policy_bitwise_identical_across_dataflows_and_precisions() {
             }
         }
     }
-}
-
-/// After the first forward pass has sized the workspace arena, later passes
-/// of the same scene allocate no fresh buffers — every `take` is served
-/// from the recycled pool.
-#[test]
-fn workspace_buffers_recycled_across_forward_passes() {
-    let sites: Vec<(i32, i32, i32)> =
-        (0..200).map(|i| ((i * 3) % 13 - 6, (i * 11) % 15 - 7, (i * 7) % 11 - 5)).collect();
-    let x = tensor_from(&sites, 4, 7);
-    let m = model(4, 7);
-    let mut cfg = EnginePreset::TorchSparse.config();
-    cfg.threads = Some(2);
-    // This test exercises the workspace arena itself; fused execution
-    // bypasses the gather/psum buffers entirely (see tests/fused_dataflow.rs
-    // for that property), so pin the buffered path here.
-    cfg.fused_execution = false;
-    let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-
-    engine.run(&m, &x).expect("first pass");
-    let fresh_after_first = engine.context().runtime.workspaces.fresh_allocations;
-    let reuses_after_first = engine.context().runtime.workspaces.reuses;
-    assert!(fresh_after_first > 0, "first pass must populate the arena");
-
-    engine.run(&m, &x).expect("second pass");
-    let fresh_after_second = engine.context().runtime.workspaces.fresh_allocations;
-    let reuses_after_second = engine.context().runtime.workspaces.reuses;
-
-    assert_eq!(
-        fresh_after_second, fresh_after_first,
-        "steady-state forward passes must not allocate fresh workspace buffers"
-    );
-    assert!(
-        reuses_after_second > reuses_after_first,
-        "second pass must serve takes from recycled buffers"
-    );
 }
 
 /// Graceful degradation decisions are identical under the parallel
