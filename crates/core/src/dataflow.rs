@@ -702,9 +702,10 @@ pub fn run_gather_matmul_scatter(
     // microkernel straight into `out`, with the §4.2.1 center shortcut
     // running as one dense GEMM first. Grouping only batches GEMMs in the
     // simulated cost below; the executor streams every offset itself, so
-    // beyond the center shortcut it ignores the group plan. Partial sums are 16-bit outside FP32,
-    // which picks the exact path. Skipped in simulate-only mode: latency
-    // depends on the map structure, never on feature values.
+    // beyond the center shortcut it ignores the group plan. Partial sums
+    // are 16-bit outside FP32, which picks the exact path. Skipped in
+    // simulate-only mode: latency depends on the map structure, never on
+    // feature values.
     if !ctx.simulate_only {
         let binary16_psums = ctx.config.precision != Precision::Fp32;
         let exact = exact_path(ctx, w.map, binary16_psums);

@@ -16,10 +16,11 @@
 //! Beyond Algorithm 5's single grouping axis, this module also implements
 //! the compile-time **per-layer policy search** ([`autotune_plan`]): a
 //! product space of execution knobs ([`ExecPolicy`] — grouping, SIMD
-//! kernel, gather/scatter chunk width, GEMM panel width) is pruned per traced layer with the `gpu-sim` cost models, the
-//! short-listed candidates are timed on microbenches of the layer's actual
-//! kernel map, and the winners are persisted in an on-disk database keyed
-//! by a geometry-class fingerprint so later sessions warm-start with zero
+//! kernel, gather/scatter chunk width, GEMM panel width) is pruned per
+//! traced layer with the `gpu-sim` cost models, the short-listed
+//! candidates are timed on microbenches of the layer's actual kernel map,
+//! and the winners are persisted in an on-disk database keyed by a
+//! geometry-class fingerprint so later sessions warm-start with zero
 //! measurements. Every selectable policy is bitwise-neutral: the search
 //! changes speed, never output bits.
 
@@ -680,9 +681,8 @@ pub(crate) fn autotune_plan(
 /// takes no serialization dependency), written atomically via a temp file +
 /// rename in the same directory.
 ///
-/// Schema (`version` 3, which dropped the fused-route component of the
-/// key and the entry's `"fused"` field when the CPU executor became a
-/// single route — older versions are treated as stale and rebuilt):
+/// Schema (`version` 3; a file of any other version is treated as stale
+/// and rebuilt):
 ///
 /// ```json
 /// {"version":3,"entries":[

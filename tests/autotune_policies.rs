@@ -178,8 +178,8 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
     let m = two_conv_model();
     let x = dense_scene(4);
 
-    // A version-2 file is what databases written before the single CPU
-    // route look like: a fused-route key component and `"fused"` field.
+    // A well-formed version-2 file (its keys and entries carry a fused-route
+    // field) is stale too.
     let v2 = "{\"version\":2,\"entries\":[{\"key\":\"v5:d2:c4x8:k27:sm1:fp16:fe1:turing\",\
               \"mode\":\"fixed\",\"epsilon\":0,\"s\":0,\"fused\":true,\"simd\":\"auto\",\
               \"chunk\":64,\"panel\":64}]}";

@@ -1,7 +1,8 @@
 //! The coordinate-index determinism contract: the index structure a plan
 //! uses to resolve coordinates (legacy hashmap, dense grid, or the succinct
 //! MPHF cascade) is a pure representation choice. Every choice must produce
-//! bitwise-identical outputs across dataflows and thread counts — only `MappingStats` and simulated latency may differ.
+//! bitwise-identical outputs across dataflows and thread counts — only
+//! `MappingStats` and simulated latency may differ.
 
 use torchsparse::coords::Coord;
 use torchsparse::core::{
@@ -65,10 +66,11 @@ fn output_bits<M: Module>(
     (y.coords().to_vec(), bits)
 }
 
-/// The acceptance sweep: 4 index choices x 3 dataflows x 1/8 threads, all bitwise identical within each dataflow. A model with
-/// strided downsamples and a decoder exercises forward, downsample, and
-/// transposed kernel maps — the CSR slice-view, the resort path, and the
-/// MPHF query path all run.
+/// The acceptance sweep: 4 index choices x 3 dataflows x 1/8 threads, all
+/// bitwise identical within each dataflow. A model with strided
+/// downsamples and a decoder exercises forward, downsample, and transposed
+/// kernel maps — the CSR slice-view, the resort path, and the MPHF query
+/// path all run.
 #[test]
 fn coord_index_choice_is_bitwise_invisible_across_dataflows_routes_threads() {
     let x = scene(4, 0);

@@ -4,13 +4,13 @@
 //! With `exact_accumulation` on (the default), every output element is the
 //! single correctly rounded sum of its partial products, so the engine's
 //! bits are reproducible across thread counts and chunk partitionings *by
-//! arithmetic* — no ordering discipline required. With it off, the engine must reproduce the historical
-//! serial-order bits (the pre-superaccumulator contract) at every thread
-//! count. Both modes are checked against the FNV-1a digests pinned in
-//! `tests/common`. The property tests at the bottom pin the accumulator
-//! itself: permutation invariance, split/merge invariance, and correct
-//! rounding against an exact integer reference, including NaN/±0/overflow
-//! edges.
+//! arithmetic* — no ordering discipline required. With it off, the engine
+//! must reproduce the historical serial-order bits (the
+//! pre-superaccumulator contract) at every thread count. Both modes are
+//! checked against the FNV-1a digests pinned in `tests/common`. The
+//! property tests at the bottom pin the accumulator itself: permutation
+//! invariance, split/merge invariance, and correct rounding against an
+//! exact integer reference, including NaN/±0/overflow edges.
 
 mod common;
 
