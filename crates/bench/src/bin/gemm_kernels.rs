@@ -1,12 +1,13 @@
 //! GEMM microkernel benchmark: scalar vs SIMD vs SIMD+packed weights.
 //!
-//! Measures sustained GFLOP/s of every compute kernel on the
+//! Measures sustained GFLOP/s of both compute kernels on the
 //! paper-characteristic GEMM shapes (`|map| x Cin x Cout`, Algorithm 2),
-//! then runs a geometry-static compiled stream end-to-end with the SIMD
-//! policy forced to `Scalar` and left at `Auto` to show the whole-network
-//! effect. Non-FMA kernels are asserted bitwise identical per shape; the
-//! FMA row is reported but never compared bitwise (it changes rounding and
-//! is opt-in). Writes `BENCH_gemm.json`.
+//! plus a ragged-N classifier shape whose tail columns the AVX2 path
+//! delegates to the scalar loop, then runs a geometry-static compiled
+//! stream end-to-end with the SIMD policy forced to `Scalar` and left at
+//! `Auto` to show the whole-network effect. Every variant is asserted
+//! bitwise identical to the scalar kernel per shape. Writes
+//! `BENCH_gemm.json`.
 //!
 //! Usage: `cargo run --release -p torchsparse-bench --bin gemm_kernels
 //! [--scale F] [--scenes N] [--seed N] [--out PATH]`
@@ -22,8 +23,10 @@ use torchsparse_tensor::gemm::{mm_into_packed_on, mm_into_with, GemmOpts};
 use torchsparse_tensor::{microkernel, Kernel, Matrix, PackedB};
 
 /// Paper-characteristic `(|map|, Cin, Cout)` GEMM shapes: early layers are
-/// many-row/narrow, bottleneck layers are fewer-row/wide (Figure 12).
-const SHAPES: [(usize, usize, usize); 7] = [
+/// many-row/narrow, bottleneck layers are fewer-row/wide (Figure 12). The
+/// last is the SemanticKITTI classifier (48 -> 19 classes): `19 % 16 = 3`
+/// ragged tail columns exercise the AVX2 path's scalar tail delegate.
+const SHAPES: [(usize, usize, usize); 8] = [
     (4096, 4, 32),
     (16384, 32, 32),
     (16384, 32, 64),
@@ -31,6 +34,7 @@ const SHAPES: [(usize, usize, usize); 7] = [
     (4096, 96, 96),
     (2048, 128, 128),
     (1024, 256, 256),
+    (16384, 48, 19),
 ];
 
 /// Shapes with `Cin = Cout >= 64` — the acceptance target demands >= 2x
@@ -62,9 +66,6 @@ struct Variant {
     label: &'static str,
     opts: GemmOpts,
     packed: bool,
-    /// FMA rows change rounding, so they are excluded from the bitwise
-    /// cross-check against the scalar baseline.
-    deterministic: bool,
 }
 
 /// Times `f` until it has run for at least ~30 ms (at least 3 times) and
@@ -96,43 +97,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pool = ThreadPool::global();
     let active = microkernel::active();
     let variants = [
-        Variant {
-            label: "scalar",
-            opts: GemmOpts::with_kernel(Kernel::Scalar),
-            packed: false,
-            deterministic: true,
-        },
-        Variant {
-            label: "portable",
-            opts: GemmOpts::with_kernel(Kernel::Portable),
-            packed: false,
-            deterministic: true,
-        },
-        Variant {
-            label: "simd",
-            opts: GemmOpts::with_kernel(active),
-            packed: false,
-            deterministic: true,
-        },
-        Variant {
-            label: "simd+packed",
-            opts: GemmOpts::with_kernel(active),
-            packed: true,
-            deterministic: true,
-        },
-        Variant {
-            label: "simd+packed+fma",
-            opts: GemmOpts { kernel: Some(active.with_fma()), fma: true, panel_rows: None },
-            packed: true,
-            deterministic: false,
-        },
+        Variant { label: "scalar", opts: GemmOpts::with_kernel(Kernel::Scalar), packed: false },
+        Variant { label: "simd", opts: GemmOpts::with_kernel(active), packed: false },
+        Variant { label: "simd+packed", opts: GemmOpts::with_kernel(active), packed: true },
     ];
 
-    println!(
-        "== GEMM microkernels: active = {} (fma available: {}) ==\n",
-        active.name(),
-        active.with_fma().name()
-    );
+    println!("== GEMM microkernels: active = {} ==\n", active.name());
 
     // gflops[v][s] for variant v on shape s.
     let mut gflops = vec![vec![0.0f64; SHAPES.len()]; variants.len()];
@@ -154,16 +124,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             });
             gflops[v][s] = flops / secs / 1e9;
-            if variant.deterministic {
-                let bits: Vec<u32> = c.as_slice().iter().map(|x| x.to_bits()).collect();
-                match &reference {
-                    None => reference = Some(bits),
-                    Some(r) => assert_eq!(
-                        r, &bits,
-                        "{}x{}x{m}: {} must match scalar bitwise",
-                        k, n, variant.label
-                    ),
-                }
+            let bits: Vec<u32> = c.as_slice().iter().map(|x| x.to_bits()).collect();
+            match &reference {
+                None => reference = Some(bits),
+                Some(r) => assert_eq!(
+                    r, &bits,
+                    "{}x{}x{m}: {} must match scalar bitwise",
+                    k, n, variant.label
+                ),
             }
         }
     }
@@ -174,21 +142,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for per_shape in &gflops {
             row.push(format!("{:.2}", per_shape[s]));
         }
-        row.push(fmt::speedup(gflops[3][s] / gflops[0][s]));
+        row.push(fmt::speedup(gflops[2][s] / gflops[0][s]));
         rows.push(row);
     }
     println!(
         "{}",
         fmt::table(
-            &[
-                "shape |map|xCinxCout",
-                "scalar",
-                "portable",
-                "simd",
-                "simd+packed",
-                "+fma",
-                "packed vs scalar"
-            ],
+            &["shape |map|xCinxCout", "scalar", "simd", "simd+packed", "packed vs scalar"],
             &rows
         )
     );
@@ -197,7 +157,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .enumerate()
         .filter(|(_, &(_, k, n))| is_large(k, n))
-        .map(|(s, _)| gflops[3][s] / gflops[0][s])
+        .map(|(s, _)| gflops[2][s] / gflops[0][s])
         .collect();
     let large_geomean = geomean(&large_speedups);
     println!(
@@ -206,7 +166,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // End-to-end: the same geometry-static compiled stream with the SIMD
     // policy forced off and left on auto. Outputs must be bitwise identical
-    // (the non-FMA kernels preserve the scalar accumulation order).
+    // (both kernels keep the same per-element accumulation order).
     let bm = BenchmarkModel::MinkUNetNuScenes1;
     let ds = dataset_for(bm, args.scale);
     let base = ds.scene(args.seed)?;
@@ -253,20 +213,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!("  \"active_kernel\": \"{}\",\n", active.name()));
-    json.push_str(&format!("  \"fma_kernel\": \"{}\",\n", active.with_fma().name()));
     json.push_str("  \"kernels_bitwise_identical\": true,\n");
     json.push_str("  \"gflops\": [\n");
     for (s, &(m, k, n)) in SHAPES.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"map\": {m}, \"c_in\": {k}, \"c_out\": {n}, \"scalar\": {:.3}, \
-             \"portable\": {:.3}, \"simd\": {:.3}, \"simd_packed\": {:.3}, \"simd_packed_fma\": {:.3}, \
-             \"packed_speedup_vs_scalar\": {:.3}}}{}\n",
+             \"simd\": {:.3}, \"simd_packed\": {:.3}, \"packed_speedup_vs_scalar\": {:.3}}}{}\n",
             gflops[0][s],
             gflops[1][s],
             gflops[2][s],
-            gflops[3][s],
-            gflops[4][s],
-            gflops[3][s] / gflops[0][s],
+            gflops[2][s] / gflops[0][s],
             if s + 1 < SHAPES.len() { "," } else { "" }
         ));
     }

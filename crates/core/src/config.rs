@@ -47,24 +47,20 @@ impl GroupingStrategy {
 }
 
 /// Compute-kernel (SIMD) selection policy for GEMM, gather/scatter, and
-/// precision-conversion sweeps.
+/// precision-conversion sweeps — the one place the host kernel is chosen.
 ///
-/// All three choices produce **bitwise identical** results: the SIMD
-/// kernels vectorize along the output-channel dimension, so every output
-/// element keeps the scalar kernel's k-major mul-then-add accumulation
-/// order. The policy exists for benchmarking (pin the scalar baseline) and
-/// for exercising the portable fallback on hosts where AVX2 would always
-/// be detected.
+/// Both choices produce **bitwise identical** results: the AVX2 kernel
+/// vectorizes along the output-channel dimension, so every output element
+/// keeps the scalar kernel's k-major mul-then-add accumulation order. The
+/// paper's §4.3.1 vectorization is modeled by
+/// [`OptimizationConfig::vectorized`], not by this host-side choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdPolicy {
-    /// Use the process-wide selection: AVX2 when detected (overridable via
-    /// the `TORCHSPARSE_SIMD` environment variable), else the portable
-    /// fixed-width-array kernel.
+    /// AVX2 when the CPU reports it, else the safe scalar kernel.
     #[default]
     Auto,
-    /// Force the portable fallback kernel.
-    Portable,
-    /// Force the pre-vectorization scalar loop (benchmark baseline).
+    /// Force the safe scalar kernel (the non-AVX2 fallback), e.g. to
+    /// exercise it on a host that has AVX2.
     Scalar,
 }
 
@@ -161,14 +157,9 @@ pub struct OptimizationConfig {
     /// reproduces the exact serial engine (results are bitwise identical
     /// at every thread count regardless).
     pub threads: Option<usize>,
-    /// SIMD compute-kernel policy. Every choice is bitwise identical; see
+    /// SIMD compute-kernel policy. Both choices are bitwise identical; see
     /// [`SimdPolicy`].
     pub simd: SimdPolicy,
-    /// Allow fused multiply-add in the GEMM microkernel. FMA contracts the
-    /// multiply and add into one rounding step, which **changes results**
-    /// (no longer bitwise identical to the scalar kernel — typically a few
-    /// ULPs tighter), so it is opt-in and off in every preset.
-    pub fma_gemm: bool,
     /// Accumulate the scatter reduction through exact, order-independent
     /// fixed-point superaccumulators (`torchsparse_tensor::accum`) instead
     /// of order-pinned serial `f32` addition. Every output element becomes
@@ -431,7 +422,6 @@ impl OptimizationConfig {
             validation: ValidationConfig::default(),
             threads: None,
             simd: SimdPolicy::Auto,
-            fma_gemm: false,
             exact_accumulation: true,
             coord_index: CoordIndexChoice::Auto,
             autotune_policies: true,
@@ -460,7 +450,6 @@ impl OptimizationConfig {
             validation: ValidationConfig::default(),
             threads: None,
             simd: SimdPolicy::Auto,
-            fma_gemm: false,
             // Like `simd`, exact accumulation is a host-executor detail, not
             // one of the paper's ablated optimizations (a *stronger*
             // determinism guarantee, not a looser one), so even the
@@ -588,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn no_preset_opts_into_fma() {
+    fn presets_auto_detect_simd_and_accumulate_exactly() {
         for preset in [
             EnginePreset::TorchSparse,
             EnginePreset::BaselineFp32,
@@ -597,7 +586,6 @@ mod tests {
             EnginePreset::SpConvFp16,
         ] {
             let c = preset.config();
-            assert!(!c.fma_gemm, "{}: FMA changes rounding and must be opt-in", preset.name());
             assert_eq!(c.simd, SimdPolicy::Auto);
             assert!(
                 c.exact_accumulation,

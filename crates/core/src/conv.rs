@@ -1,7 +1,7 @@
 use crate::config::{GroupingStrategy, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
 use crate::dataflow::{
-    apply_storage_precision_owned_kernel, policy_kernel, run_fetch_on_demand,
+    apply_storage_precision_owned_kernel, config_kernel, run_fetch_on_demand,
     run_gather_matmul_scatter, ConvWorkload, FusedOrder,
 };
 use crate::faults::FaultSite;
@@ -432,7 +432,7 @@ impl SparseConv3d {
             &ctx.runtime.pool(),
             run_dataflow(ctx)?,
             ctx.config.precision,
-            policy_kernel(&ctx.config, plan.policy.as_ref()),
+            config_kernel(&ctx.config),
         );
         if ctx.config.precision != Precision::Fp32 {
             if !out_feats.is_empty() && ctx.faults.should_fail(FaultSite::Fp16Overflow) {

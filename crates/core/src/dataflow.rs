@@ -62,30 +62,20 @@ pub struct ConvWorkload<'a> {
     pub policy: Option<ExecPolicy>,
 }
 
-/// Resolves a [`SimdPolicy`] to a concrete compute kernel.
-fn kernel_for(simd: SimdPolicy) -> Kernel {
-    match simd {
+/// Resolves the configured [`SimdPolicy`] to a concrete compute kernel.
+/// Both kernels are bit-exact against each other, so this only changes
+/// instruction throughput.
+pub(crate) fn config_kernel(config: &OptimizationConfig) -> Kernel {
+    match config.simd {
         SimdPolicy::Auto => microkernel::active(),
-        SimdPolicy::Portable => Kernel::Portable,
         SimdPolicy::Scalar => Kernel::Scalar,
     }
 }
 
-/// The compute kernel for one workload: a tuned policy's SIMD choice wins
-/// over the global config. All kernels are bit-exact against each other,
-/// so this only changes instruction throughput.
-pub(crate) fn policy_kernel(config: &OptimizationConfig, policy: Option<&ExecPolicy>) -> Kernel {
-    kernel_for(policy.map_or(config.simd, |p| p.simd))
-}
-
-/// GEMM options for one workload: the resolved kernel, FMA only if the
-/// config opted in, and the tuned policy's row-panel width when present.
+/// GEMM options for one workload: the configured kernel and the tuned
+/// policy's row-panel width when present.
 fn gemm_opts(config: &OptimizationConfig, policy: Option<&ExecPolicy>) -> GemmOpts {
-    GemmOpts {
-        kernel: Some(policy_kernel(config, policy)),
-        fma: config.fma_gemm,
-        panel_rows: policy.map(|p| p.panel_rows),
-    }
+    GemmOpts { kernel: Some(config_kernel(config)), panel_rows: policy.map(|p| p.panel_rows) }
 }
 
 impl ConvWorkload<'_> {
@@ -693,7 +683,7 @@ pub fn run_gather_matmul_scatter(
     let m = modes(ctx.config.precision, ctx.config.vectorized);
     let bufs = layout(w, plan, &m, ctx);
     let pool = ctx.runtime.pool();
-    let kernel = policy_kernel(&ctx.config, w.policy.as_ref());
+    let kernel = config_kernel(&ctx.config);
     let opts = gemm_opts(&ctx.config, w.policy.as_ref());
     let mut out = Matrix::zeros(w.n_out, w.c_out());
 
@@ -979,7 +969,7 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Matrix {
     // center shortcut.
     if !ctx.simulate_only {
         let exact = exact_path(ctx, w.map, false);
-        let kernel = policy_kernel(&ctx.config, w.policy.as_ref());
+        let kernel = config_kernel(&ctx.config);
         run_fused_numerics(w, None, false, exact, &ctx.runtime.pool(), kernel, &mut out);
     }
 
@@ -1287,9 +1277,8 @@ mod tests {
 
     #[test]
     fn policy_overrides_config_knobs() {
-        // A plan-carried policy steers the SIMD kernel and the chunk/panel
-        // widths without touching the global config — and stays
-        // bit-identical.
+        // A plan-carried policy steers the chunk/panel widths without
+        // touching the global config — and stays bit-identical.
         let (coords, feats, weights, map) = workload_parts(8, 16);
         let n_out = coords.len();
         let order = FusedOrder::build(&map, n_out);
@@ -1312,12 +1301,7 @@ mod tests {
         let cfg = OptimizationConfig::torchsparse();
         let base = ExecPolicy::from_config(&cfg);
         let expect = bits_of(&run(None));
-        for policy in [
-            base,
-            ExecPolicy { simd: SimdPolicy::Portable, ..base },
-            ExecPolicy { simd: SimdPolicy::Scalar, ..base },
-            ExecPolicy { panel_rows: 32, chunk_rows: 256, ..base },
-        ] {
+        for policy in [base, ExecPolicy { panel_rows: 32, chunk_rows: 256, ..base }] {
             assert_eq!(bits_of(&run(Some(policy))), expect, "{policy:?}");
         }
     }

@@ -24,7 +24,7 @@
 //! measurements. Every selectable policy is bitwise-neutral: the search
 //! changes speed, never output bits.
 
-use crate::config::{GroupingStrategy, OptimizationConfig, Precision, SimdPolicy};
+use crate::config::{GroupingStrategy, OptimizationConfig, Precision};
 use crate::context::{Context, LayerWorkload};
 use crate::dataflow::{run_gather_matmul_scatter, ConvWorkload, FusedOrder};
 use crate::engine::Engine;
@@ -215,16 +215,13 @@ pub fn tune_engine<M: Module + ?Sized>(
 /// convolution and threads it through [`ConvPlan`] so `execute` consults the
 /// plan instead of the global [`OptimizationConfig`]. **Every selectable
 /// policy is bitwise-neutral**: grouping only re-batches per-offset GEMMs
-/// whose scatter accumulation is order-independent, all SIMD kernels keep
-/// the scalar
-/// accumulation order, and chunk/panel widths only re-partition work along
-/// row boundaries.
+/// whose scatter accumulation is order-independent, and chunk/panel widths
+/// only re-partition work along row boundaries. The compute kernel is not
+/// part of the policy: it follows [`OptimizationConfig::simd`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecPolicy {
     /// Matmul grouping strategy (including tuned adaptive `(epsilon, S)`).
     pub grouping: GroupingStrategy,
-    /// Compute-kernel selection for GEMM and precision sweeps.
-    pub simd: SimdPolicy,
     /// Output rows per gather/scatter chunk (locality-order granularity).
     pub chunk_rows: usize,
     /// Row-panel width of the GEMM microkernel dispatch.
@@ -237,7 +234,6 @@ impl ExecPolicy {
     pub fn from_config(config: &OptimizationConfig) -> ExecPolicy {
         ExecPolicy {
             grouping: config.grouping,
-            simd: config.simd,
             chunk_rows: DEFAULT_WIDTH,
             panel_rows: DEFAULT_WIDTH,
         }
@@ -374,12 +370,10 @@ fn policy_key(
 }
 
 /// Clamps a warm-start database entry to what the current configuration
-/// allows: the SIMD choice is pinned to the config's (the search never
-/// un-pins an explicit kernel), widths must come from the selectable set, and
-/// adaptive grouping parameters must be valid. Returns `None` when the
+/// allows: widths must come from the selectable set, and adaptive grouping
+/// parameters must be valid. Returns `None` when the
 /// entry cannot be made consistent — the layer then searches fresh.
 fn sanitize_policy(mut p: ExecPolicy, config: &OptimizationConfig) -> Option<ExecPolicy> {
-    p.simd = config.simd;
     if !WIDTHS.contains(&p.chunk_rows) || !WIDTHS.contains(&p.panel_rows) {
         return None;
     }
@@ -501,8 +495,7 @@ fn tune_layer(
     for &g in &groupings {
         for &chunk_rows in &chunks {
             for &panel_rows in &panels {
-                let cand =
-                    ExecPolicy { grouping: g, simd: ctx.config.simd, chunk_rows, panel_rows };
+                let cand = ExecPolicy { grouping: g, chunk_rows, panel_rows };
                 if !shortlist.contains(&cand) {
                     shortlist.push(cand);
                 }
@@ -681,14 +674,14 @@ pub(crate) fn autotune_plan(
 /// takes no serialization dependency), written atomically via a temp file +
 /// rename in the same directory.
 ///
-/// Schema (`version` 3; a file of any other version is treated as stale
+/// Schema (`version` 4; a file of any other version is treated as stale
 /// and rebuilt):
 ///
 /// ```json
-/// {"version":3,"entries":[
+/// {"version":4,"entries":[
 ///   {"key":"v15:d2:c32x64:k27:sm1:fp16:turing",
 ///    "mode":"adaptive","epsilon":0.3,"s":150000,
-///    "simd":"auto","chunk":64,"panel":128}
+///    "chunk":64,"panel":128}
 /// ]}
 /// ```
 ///
@@ -698,12 +691,12 @@ pub(crate) fn autotune_plan(
 /// on load.
 mod db {
     use super::ExecPolicy;
-    use crate::config::{GroupingStrategy, SimdPolicy};
+    use crate::config::GroupingStrategy;
     use std::collections::HashMap;
     use std::path::Path;
 
     /// Database schema version; mismatches are treated as corrupt.
-    const VERSION: f64 = 3.0;
+    const VERSION: f64 = 4.0;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -952,15 +945,8 @@ mod db {
             }
             _ => return None,
         };
-        let simd = match entry.get("simd")?.as_str()? {
-            "auto" => SimdPolicy::Auto,
-            "portable" => SimdPolicy::Portable,
-            "scalar" => SimdPolicy::Scalar,
-            _ => return None,
-        };
         Some(ExecPolicy {
             grouping,
-            simd,
             chunk_rows: entry.get("chunk")?.as_width()?,
             panel_rows: entry.get("panel")?.as_width()?,
         })
@@ -983,15 +969,7 @@ mod db {
             Some(v) => out.push_str(&format!("\"s\":{v},")),
             None => out.push_str("\"s\":\"max\","),
         }
-        let simd = match p.simd {
-            SimdPolicy::Auto => "auto",
-            SimdPolicy::Portable => "portable",
-            SimdPolicy::Scalar => "scalar",
-        };
-        out.push_str(&format!(
-            "\"simd\":\"{simd}\",\"chunk\":{},\"panel\":{}}}",
-            p.chunk_rows, p.panel_rows
-        ));
+        out.push_str(&format!("\"chunk\":{},\"panel\":{}}}", p.chunk_rows, p.panel_rows));
     }
 
     /// Loads the database. A missing file is an empty database; anything
@@ -1171,7 +1149,6 @@ mod tests {
             "v12:d3:c32x64:k27:sm1:fp16:RTX-2080-Ti".to_owned(),
             ExecPolicy {
                 grouping: GroupingStrategy::Adaptive { epsilon: 0.3, s_threshold: 150_000 },
-                simd: SimdPolicy::Auto,
                 chunk_rows: 64,
                 panel_rows: 128,
             },
@@ -1181,19 +1158,13 @@ mod tests {
             "v9:d1:c4x8:k27:sm0:fp32:cpu".to_owned(),
             ExecPolicy {
                 grouping: GroupingStrategy::Adaptive { epsilon: 1.0, s_threshold: usize::MAX },
-                simd: SimdPolicy::Scalar,
                 chunk_rows: 32,
                 panel_rows: 256,
             },
         );
         entries.insert(
             "v15:d0:c8x8:k1:sm1:int8:gpu \"quoted\\name\"".to_owned(),
-            ExecPolicy {
-                grouping: GroupingStrategy::Fixed,
-                simd: SimdPolicy::Portable,
-                chunk_rows: 128,
-                panel_rows: 64,
-            },
+            ExecPolicy { grouping: GroupingStrategy::Fixed, chunk_rows: 128, panel_rows: 64 },
         );
         db::store(&path, &entries).unwrap();
         let loaded = db::load(&path).unwrap();
@@ -1215,11 +1186,11 @@ mod tests {
     fn corrupt_db_fails_to_load() {
         for (name, text) in [
             ("garbage", "not json at all"),
-            ("truncated", "{\"version\":3,\"entries\":[{\"key\":\"x\""),
+            ("truncated", "{\"version\":4,\"entries\":[{\"key\":\"x\""),
             ("no-version", "{\"entries\":[]}"),
-            ("no-entries", "{\"version\":3}"),
-            ("bad-entry", "{\"version\":3,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
-            ("trailing", "{\"version\":3,\"entries\":[]} extra"),
+            ("no-entries", "{\"version\":4}"),
+            ("bad-entry", "{\"version\":4,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
+            ("trailing", "{\"version\":4,\"entries\":[]} extra"),
         ] {
             let path = temp_db(name);
             std::fs::write(&path, text).unwrap();
@@ -1231,7 +1202,7 @@ mod tests {
     #[test]
     fn stale_db_version_fails_to_load() {
         let path = temp_db("stale");
-        for version in [1, 2] {
+        for version in [1, 2, 3] {
             std::fs::write(&path, format!("{{\"version\":{version},\"entries\":[]}}")).unwrap();
             let err = db::load(&path).unwrap_err();
             assert!(err.contains("version"), "{err}");
@@ -1244,12 +1215,10 @@ mod tests {
         let config = EnginePreset::TorchSparse.config();
         let stored = ExecPolicy {
             grouping: GroupingStrategy::Adaptive { epsilon: 0.5, s_threshold: 1000 },
-            simd: SimdPolicy::Scalar,
             chunk_rows: 128,
             panel_rows: 64,
         };
         let got = sanitize_policy(stored, &config).unwrap();
-        assert_eq!(got.simd, config.simd, "SIMD is pinned to the config");
         assert_eq!(got.chunk_rows, 128);
 
         // A non-adaptive config pins grouping entirely.

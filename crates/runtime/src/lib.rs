@@ -358,15 +358,15 @@ fn worker_loop(shared: &Shared) {
 /// Detected once per process — [`ThreadPool`] construction triggers the
 /// probe, so by the time any task runs the answer is a cached load, never a
 /// `cpuid` in a hot loop. On non-x86-64 targets every flag is `false` and
-/// the portable kernels are used unconditionally.
+/// the scalar kernels are used unconditionally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuFeatures {
     /// 256-bit integer/float vectors (`__m256`); gates the SIMD GEMM
     /// microkernel and the wide gather/scatter row primitives.
     pub avx2: bool,
-    /// Fused multiply-add. Never auto-selected — FMA contracts the
-    /// mul-then-add rounding step and therefore changes results bitwise;
-    /// callers opt in explicitly.
+    /// Fused multiply-add. Provenance only: reported in benchmark host
+    /// lines, never used by a kernel (FMA contracts the mul-then-add
+    /// rounding step and would change results bitwise).
     pub fma: bool,
     /// Hardware f32<->f16 conversion (`vcvtps2ph`/`vcvtph2ps`); gates the
     /// vectorized precision-conversion sweeps.

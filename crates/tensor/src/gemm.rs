@@ -44,16 +44,12 @@ const MIN_PARALLEL_FLOPS: f64 = 1.0e6;
 /// Per-call kernel selection for the `_with` GEMM entry points.
 ///
 /// The default (`GemmOpts::default()`) uses the process-wide selection from
-/// [`microkernel::active`] with FMA off — the bitwise-deterministic
-/// configuration. `fma` upgrades an AVX2 selection to fused multiply-add,
-/// which changes rounding and is therefore opt-in
-/// (`OptimizationConfig::fma_gemm` in the core crate).
+/// [`microkernel::active`]. Both kernels produce identical bits, so the
+/// options change speed only.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GemmOpts {
     /// Explicit kernel override; `None` uses [`microkernel::active`].
     pub kernel: Option<Kernel>,
-    /// Allow fused multiply-add (changes rounding; never on by default).
-    pub fma: bool,
     /// Row-panel width for parallel partitioning; `None` uses [`PANEL`].
     /// Every output row is computed by exactly one panel with the same
     /// k-major accumulation order, so the width changes scheduling
@@ -69,12 +65,7 @@ impl GemmOpts {
 
     /// Resolves the kernel these options denote.
     pub fn resolve(self) -> Kernel {
-        let k = self.kernel.unwrap_or_else(microkernel::active);
-        if self.fma {
-            k.with_fma()
-        } else {
-            k
-        }
+        self.kernel.unwrap_or_else(microkernel::active)
     }
 
     /// Resolves the row-panel width these options denote (never zero).
@@ -424,7 +415,7 @@ mod tests {
 
     /// Kernels that must be bitwise interchangeable on this host.
     fn deterministic_kernels() -> Vec<Kernel> {
-        let mut ks = vec![Kernel::Scalar, Kernel::Portable];
+        let mut ks = vec![Kernel::Scalar];
         if torchsparse_runtime::cpu_features().avx2 {
             ks.push(Kernel::Avx2);
         }
@@ -458,51 +449,6 @@ mod tests {
             let mut c = Matrix::zeros(300, 50);
             mm_into_packed_on(&pool, &a, &packed, &mut c, GemmOpts::default()).unwrap();
             assert_eq!(bits(&c), bits(&dense), "threads={threads}");
-        }
-    }
-
-    fn ulp_distance(a: f32, b: f32) -> u64 {
-        fn key(v: f32) -> i64 {
-            let b = v.to_bits() as i32;
-            (if b < 0 { i32::MIN.wrapping_sub(b) } else { b }) as i64
-        }
-        (key(a) - key(b)).unsigned_abs()
-    }
-
-    #[test]
-    fn fma_mode_stays_within_4_ulp_of_reference() {
-        if !torchsparse_runtime::cpu_features().fma {
-            return; // nothing to exercise on this host
-        }
-        // Positive operands keep the partial sums monotone: the fused
-        // multiply-add then differs from mul-then-add by at most half an
-        // ulp of each product, which stays within a few ulps of the final
-        // value. (Under catastrophic cancellation no fixed ULP bound can
-        // hold for *any* reordering/contraction — that is exactly why FMA
-        // is opt-in and excluded from the bitwise-determinism contract.)
-        let mut rng = StdRng::seed_from_u64(23);
-        for &(m, k, n) in &[(17, 33, 9), (64, 128, 64), (5, 7, 31)] {
-            let a = Matrix::from_fn(m, k, |_, _| rng.random_range(0.1f32..1.0));
-            let b = Matrix::from_fn(k, n, |_, _| rng.random_range(0.1f32..1.0));
-            let reference = mm_reference(&a, &b).unwrap();
-            let opts = GemmOpts { kernel: Some(Kernel::Avx2), fma: true, panel_rows: None };
-            assert_eq!(opts.resolve(), Kernel::Avx2Fma);
-            let pool = ThreadPool::new(1);
-            for operand_packed in [false, true] {
-                let mut c = Matrix::zeros(m, n);
-                if operand_packed {
-                    let pb = PackedB::pack(&b);
-                    mm_into_packed_on(&pool, &a, &pb, &mut c, opts).unwrap();
-                } else {
-                    mm_into_with(&pool, &a, &b, &mut c, opts).unwrap();
-                }
-                for (got, want) in c.as_slice().iter().zip(reference.as_slice()) {
-                    assert!(
-                        ulp_distance(*got, *want) <= 4,
-                        "fma ({m},{k},{n}) packed={operand_packed}: {got} vs {want}"
-                    );
-                }
-            }
         }
     }
 

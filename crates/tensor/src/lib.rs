@@ -14,8 +14,8 @@
 //! - [`Half`]: software IEEE-754 binary16 with round-to-nearest-even, used to
 //!   reproduce the FP16 quantization study (§4.3.1, Table 3).
 //! - [`quant`]: FP16/INT8 feature quantization helpers.
-//! - [`microkernel`]: register-tiled SIMD compute kernels (AVX2/FMA with a
-//!   portable fallback, selected once per process) plus the [`PackedB`]
+//! - [`microkernel`]: the compute kernels (AVX2 when the CPU has it, else
+//!   safe scalar Rust, bitwise identical) plus the [`PackedB`]
 //!   panel-major weight layout shared by the packed GEMM entry points.
 //! - [`accum`]: error-free accumulation — a fixed-point superaccumulator
 //!   whose sums are bitwise identical under any summation order, the

@@ -3,29 +3,27 @@
 //! The paper's thesis is that sparse convolution reduces to many GEMMs plus
 //! data movement (§4.2, §4.3); on the CPU side every FLOP the scheduling
 //! layers arrange ultimately flows through the inner loops in this module.
-//! Three implementations of each primitive are provided, selected once per
-//! process (never per call):
+//! Two implementations of each primitive are provided:
 //!
-//! - [`Kernel::Scalar`]: the original blocked triple loop, kept callable as
-//!   the benchmark baseline and the semantic reference;
-//! - [`Kernel::Portable`]: fixed-width-array loops ([`NR`] lanes) shaped so
-//!   the autovectorizer can chew on them — the fallback on machines without
-//!   AVX2 and the path forced by `TORCHSPARSE_SIMD=off`;
-//! - [`Kernel::Avx2`] / [`Kernel::Avx2Fma`]: `std::arch` intrinsics tiling
-//!   [`MR`] rows of A against two N-vectors of B in registers.
+//! - [`Kernel::Scalar`]: safe Rust over fixed-width [`NR`]-lane accumulator
+//!   arrays — the fallback on machines without AVX2, the semantic
+//!   reference, and the ragged-tail delegate of the AVX2 path;
+//! - [`Kernel::Avx2`]: `std::arch` intrinsics tiling [`MR`] rows of A
+//!   against two N-vectors of B in registers.
+//!
+//! [`active`] picks AVX2 when the CPU has it and `Scalar` otherwise. Every
+//! public entry point re-checks the CPU before entering AVX2 code, so an
+//! explicit `Kernel::Avx2` on a host without AVX2 runs `Scalar` instead.
 //!
 //! # Bitwise determinism
 //!
-//! All kernels vectorize along the **N** (output-channel) dimension: one
+//! Both kernels vectorize along the **N** (output-channel) dimension: one
 //! accumulator lane owns one output element, and the reduction over `k`
-//! walks in ascending order with a multiply followed by an add — exactly
-//! the scalar kernel's per-element accumulation order. Lane width therefore
-//! cannot change the arithmetic, and `Scalar`, `Portable`, and `Avx2`
-//! produce bitwise identical results (the property tests assert this
-//! against [`mm_reference`](crate::gemm::mm_reference)). `Avx2Fma` contracts
-//! the multiply-add into one rounding step, which *does* change results, so
-//! FMA is opt-in (`OptimizationConfig::fma_gemm` in the core crate) and
-//! never auto-selected.
+//! walks in ascending order with a multiply followed by an add (never a
+//! fused multiply-add) and skips `a == 0.0` terms. Lane width therefore
+//! cannot change the arithmetic, and `Scalar` and `Avx2` produce bitwise
+//! identical results (the tests assert this against an independent
+//! triple loop).
 //!
 //! # Weight packing
 //!
@@ -38,7 +36,7 @@
 //! dynamic path) and reuses the buffer for every subsequent GEMM.
 
 use crate::Half;
-use std::sync::OnceLock;
+use torchsparse_runtime::{cpu_features, CpuFeatures};
 
 /// `f32` lanes per SIMD vector on the widest supported path (AVX2 `__m256`).
 pub const LANES: usize = 8;
@@ -49,99 +47,46 @@ pub const NR: usize = 2 * LANES;
 pub const MR: usize = 4;
 
 /// One compute-kernel implementation. See the module docs for the contract
-/// each variant satisfies.
+/// both variants satisfy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// The pre-vectorization blocked scalar loop (benchmark baseline).
+    /// The safe-Rust fixed-width-array loops (bitwise identical to `Avx2`).
     Scalar,
-    /// Fixed-width-array loops the autovectorizer can lower; the portable
-    /// fallback. Bitwise identical to `Scalar`.
-    Portable,
     /// AVX2 register-tiled microkernel (mul-then-add; bitwise identical to
-    /// `Scalar`).
+    /// `Scalar`). Runs as `Scalar` on a CPU without AVX2.
     Avx2,
-    /// AVX2 with fused multiply-add. Changes rounding — opt-in only.
-    Avx2Fma,
 }
 
 impl Kernel {
-    /// Whether this kernel uses `std::arch` SIMD intrinsics.
-    pub fn is_simd(self) -> bool {
-        matches!(self, Kernel::Avx2 | Kernel::Avx2Fma)
-    }
-
-    /// Upgrades an AVX2 selection to FMA when the CPU supports it; every
-    /// other selection is returned unchanged (the portable kernels have no
-    /// FMA form — `f32::mul_add` without hardware FMA is a libm call).
-    #[must_use]
-    pub fn with_fma(self) -> Kernel {
-        if self == Kernel::Avx2 && torchsparse_runtime::cpu_features().fma {
-            Kernel::Avx2Fma
-        } else {
-            self
-        }
-    }
-
     /// Short display name used by the benchmark artifacts.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Portable => "portable",
             Kernel::Avx2 => "avx2",
-            Kernel::Avx2Fma => "avx2+fma",
         }
     }
 }
 
-/// The process-wide kernel selection, resolved once from the CPU features
-/// probed at pool init and the `TORCHSPARSE_SIMD` environment variable
-/// (`off`/`portable` forces [`Kernel::Portable`], `scalar` forces
-/// [`Kernel::Scalar`], anything else — or unset — auto-detects). FMA is
-/// never auto-selected; see [`Kernel::with_fma`].
+/// The process-wide kernel: AVX2 when the CPU reports it, else `Scalar`.
 pub fn active() -> Kernel {
-    static ACTIVE: OnceLock<Kernel> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        let (kernel, warning) = select(std::env::var("TORCHSPARSE_SIMD").ok().as_deref());
-        if let Some(w) = warning {
-            torchsparse_runtime::warn_env_once("TORCHSPARSE_SIMD", &w);
-        }
-        kernel
-    })
+    runnable(Kernel::Avx2, cpu_features())
 }
 
-/// Resolves a kernel from an optional `TORCHSPARSE_SIMD` value; factored out
-/// of [`active`] so the policy is testable without touching process state.
-///
-/// Strict parse: `off`/`portable`, `scalar`, and `auto`/`on` are the
-/// recognized values (case-insensitive). Anything else auto-detects and
-/// returns a warning message naming the variable and the kernel fallback.
-fn select(env: Option<&str>) -> (Kernel, Option<String>) {
-    let auto = || {
-        if torchsparse_runtime::cpu_features().avx2 {
-            Kernel::Avx2
-        } else {
-            Kernel::Portable
-        }
-    };
-    match env.map(str::trim) {
-        None => (auto(), None),
-        Some(s) if s.eq_ignore_ascii_case("off") || s.eq_ignore_ascii_case("portable") => {
-            (Kernel::Portable, None)
-        }
-        Some(s) if s.eq_ignore_ascii_case("scalar") => (Kernel::Scalar, None),
-        Some(s) if s.eq_ignore_ascii_case("auto") || s.eq_ignore_ascii_case("on") => (auto(), None),
-        Some(s) => {
-            let kernel = auto();
-            (
-                kernel,
-                Some(format!(
-                    "TORCHSPARSE_SIMD={s:?} is not one of off/portable/scalar/auto; \
-                     falling back to auto-detection ({})",
-                    kernel.name()
-                )),
-            )
-        }
+/// The kernel that may actually run for a requested one on a CPU with
+/// `features`: AVX2 code is entered only when the CPU has AVX2. Every safe
+/// entry point below routes its kernel through here before dispatching.
+fn runnable(kernel: Kernel, features: CpuFeatures) -> Kernel {
+    match kernel {
+        Kernel::Avx2 if features.avx2 => Kernel::Avx2,
+        _ => Kernel::Scalar,
     }
+}
+
+/// Whether the F16C conversion sweeps may run for `kernel` on this host.
+#[cfg(target_arch = "x86_64")]
+fn use_f16c(kernel: Kernel) -> bool {
+    let features = cpu_features();
+    runnable(kernel, features) == Kernel::Avx2 && features.f16c
 }
 
 /// A weight matrix pre-packed into the microkernel's panel-major layout.
@@ -212,10 +157,9 @@ pub enum BOperand<'a> {
 /// Computes one row panel of `C += A * B` with the chosen kernel.
 ///
 /// `c_panel` is the slice of C covering rows `row0 ..` (`rows * n`
-/// elements). Every kernel accumulates each output element over `kk` in
-/// ascending order with mul-then-add (FMA excepted) and skips `a == 0.0`
-/// terms exactly like the scalar loop, so all non-FMA kernels are bitwise
-/// interchangeable.
+/// elements). Both kernels accumulate each output element over `kk` in
+/// ascending order with mul-then-add and skip `a == 0.0` terms, so they
+/// are bitwise interchangeable.
 pub fn gemm_panel(
     kernel: Kernel,
     a: &[f32],
@@ -228,81 +172,19 @@ pub fn gemm_panel(
     if n == 0 || c_panel.is_empty() {
         return;
     }
-    match (kernel, b) {
-        (Kernel::Scalar, BOperand::Dense(bd)) => panel_scalar_dense(a, bd, k, n, row0, c_panel),
-        // Below the skinny-shape threshold the portable kernel's per-panel
-        // accumulator copy-in/copy-out outweighs its vectorized inner loop
-        // (BENCH_gemm.json: c_in=4 runs at 8.1 GFLOP/s portable vs 11.1
-        // scalar), so the scalar loop takes over. Bitwise identical either
-        // way — the swap is purely a throughput heuristic.
-        (Kernel::Portable, BOperand::Dense(bd)) if k < PORTABLE_MIN_K => {
-            panel_scalar_dense(a, bd, k, n, row0, c_panel);
-        }
-        (Kernel::Scalar | Kernel::Portable, BOperand::Packed(pb)) if k < PORTABLE_MIN_K => {
-            panel_scalar_packed(a, pb, k, n, row0, c_panel);
-        }
-        // Scalar has no wide packed form of its own: the portable loop *is*
-        // scalar Rust with the same per-element order.
-        (Kernel::Scalar | Kernel::Portable, BOperand::Packed(pb)) => {
-            panel_portable_packed(a, pb, k, n, row0, c_panel);
-        }
-        (Kernel::Portable, BOperand::Dense(bd)) => {
-            panel_portable_dense(a, bd, k, n, row0, c_panel, 0);
-        }
-        (Kernel::Avx2 | Kernel::Avx2Fma, b) => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                x86::panel(kernel == Kernel::Avx2Fma, a, b, k, n, row0, c_panel);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            match b {
-                BOperand::Dense(bd) => panel_portable_dense(a, bd, k, n, row0, c_panel, 0),
-                BOperand::Packed(pb) => panel_portable_packed(a, pb, k, n, row0, c_panel),
-            }
-        }
+    match (runnable(kernel, cpu_features()), b) {
+        #[cfg(target_arch = "x86_64")]
+        (Kernel::Avx2, b) => x86::panel(a, b, k, n, row0, c_panel),
+        (_, BOperand::Dense(bd)) => scalar_panel_dense(a, bd, k, n, row0, c_panel, 0),
+        (_, BOperand::Packed(pb)) => scalar_panel_packed(a, pb, k, n, row0, c_panel),
     }
 }
 
-/// Reduction-depth threshold below which the portable kernel falls back to
-/// the scalar loops: with so few `k` terms per output element, the portable
-/// kernel's [`NR`]-lane accumulator traffic costs more than its vector math
-/// earns (measured crossover between `c_in = 4` and `c_in = 32` in
-/// BENCH_gemm.json). Only a dispatch choice — never a numerics change.
-const PORTABLE_MIN_K: usize = 8;
-
-/// Cache block size along the reduction dimension of the scalar kernel
-/// (unchanged from the pre-vectorization GEMM; per-element order is `kk`
-/// ascending regardless of blocking).
-const KBLOCK: usize = 256;
-
-/// The original blocked scalar loop, verbatim — the benchmark baseline and
-/// the semantic reference for the zero-skip behaviour.
-fn panel_scalar_dense(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, c_panel: &mut [f32]) {
-    let rows_here = c_panel.len() / n;
-    for kb in (0..k).step_by(KBLOCK) {
-        let k_end = (kb + KBLOCK).min(k);
-        for r in 0..rows_here {
-            let a_row = &a[(row0 + r) * k..(row0 + r) * k + k];
-            let c_row = &mut c_panel[r * n..(r + 1) * n];
-            for kk in kb..k_end {
-                let aval = a_row[kk];
-                if aval == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += aval * bv;
-                }
-            }
-        }
-    }
-}
-
-/// Portable panel kernel over row-major B, starting at column `j_start`
+/// Scalar panel kernel over row-major B, starting at column `j_start`
 /// (non-zero when the AVX2 path delegates its ragged tail columns here).
 /// Full-width panels run a fixed [`NR`]-lane accumulator array the
 /// autovectorizer lowers to vector code.
-fn panel_portable_dense(
+fn scalar_panel_dense(
     a: &[f32],
     b: &[f32],
     k: usize,
@@ -342,10 +224,10 @@ fn panel_portable_dense(
     }
 }
 
-/// Portable panel kernel over a [`PackedB`]. Padded lanes of the ragged
+/// Scalar panel kernel over a [`PackedB`]. Padded lanes of the ragged
 /// panel multiply stored zeros and are discarded at the store, so the
 /// accumulation of every *real* element is unchanged.
-fn panel_portable_packed(
+fn scalar_panel_packed(
     a: &[f32],
     pb: &PackedB,
     k: usize,
@@ -379,42 +261,6 @@ fn panel_portable_packed(
     }
 }
 
-/// Scalar-style panel kernel over a [`PackedB`]: accumulates straight into
-/// the C rows without the portable kernel's accumulator-array staging —
-/// the profitable shape below [`PORTABLE_MIN_K`], where staging costs more
-/// than the handful of `k` terms it amortizes. Per-element order is `kk`
-/// ascending with the zero-skip, identical to every other kernel.
-fn panel_scalar_packed(
-    a: &[f32],
-    pb: &PackedB,
-    k: usize,
-    n: usize,
-    row0: usize,
-    c_panel: &mut [f32],
-) {
-    debug_assert_eq!(pb.k, k);
-    debug_assert_eq!(pb.n, n);
-    let rows_here = c_panel.len() / n;
-    for p in 0..n.div_ceil(NR) {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        let panel = pb.panel(p);
-        for r in 0..rows_here {
-            let a_row = &a[(row0 + r) * k..(row0 + r) * k + k];
-            let c_row = &mut c_panel[r * n + j0..r * n + j0 + w];
-            for (kk, &aval) in a_row.iter().enumerate() {
-                if aval == 0.0 {
-                    continue;
-                }
-                let b_row = &panel[kk * NR..kk * NR + w];
-                for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += aval * bv;
-                }
-            }
-        }
-    }
-}
-
 /// Fused gather–GEMM–scatter over one batch of kernel-map entries.
 ///
 /// For each entry `i`, computes the row product
@@ -431,8 +277,8 @@ fn panel_scalar_packed(
 /// zero-initialized dot product over `kk` ascending with mul-then-add and
 /// the `a == 0.0` skip (the GEMM into a zeroed psum buffer), an optional
 /// per-element f16 round trip (psum storage), then a single `+=` into the
-/// output row (the scatter). All non-FMA kernels therefore produce bits
-/// identical to gather → GEMM → scatter at any tiling.
+/// output row (the scatter). Both kernels therefore produce bits identical
+/// to gather → GEMM → scatter at any tiling.
 ///
 /// # Panics
 ///
@@ -468,21 +314,18 @@ pub fn gemm_gather_scatter(
             assert_eq!(pb.n, n);
         }
     }
-    match kernel {
+    match runnable(kernel, cpu_features()) {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 | Kernel::Avx2Fma => {
-            x86::fused_rows(kernel, a, k, in_rows, b, n, round_f16, out, out_rel);
-        }
-        _ => fused_rows_portable(kernel, a, k, in_rows, b, n, round_f16, out, out_rel, 0),
+        Kernel::Avx2 => x86::fused_rows(a, k, in_rows, b, n, round_f16, out, out_rel),
+        kernel => scalar_fused_rows(kernel, a, k, in_rows, b, n, round_f16, out, out_rel, 0),
     }
 }
 
-/// Safe fused kernel shared by `Scalar` and `Portable` (their per-element
-/// order is identical, so one loop serves both), and the ragged-tail
-/// delegate of the AVX2 path (`j_start` marks where the full-width panels
-/// stopped).
+/// The `Scalar` fused kernel, and the ragged-tail delegate of the AVX2
+/// path (`j_start` marks where the full-width panels stopped; `kernel`
+/// then selects the F16C psum round trip).
 #[allow(clippy::too_many_arguments)]
-fn fused_rows_portable(
+fn scalar_fused_rows(
     kernel: Kernel,
     a: &[f32],
     k: usize,
@@ -549,7 +392,7 @@ fn fused_rows_portable(
 /// is therefore bitwise equal to the scalar sweep for *all* inputs.
 pub fn f16_round_trip_slice(kernel: Kernel, data: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() && torchsparse_runtime::cpu_features().f16c {
+    if use_f16c(kernel) {
         x86::f16_round_trip(data);
         return;
     }
@@ -564,7 +407,7 @@ pub fn f16_quantize_slice(kernel: Kernel, src: &[f32], dst: &mut Vec<Half>) {
     dst.clear();
     dst.reserve(src.len());
     #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() && torchsparse_runtime::cpu_features().f16c {
+    if use_f16c(kernel) {
         x86::f16_quantize(src, dst);
         return;
     }
@@ -577,7 +420,7 @@ pub fn f16_dequantize_slice(kernel: Kernel, src: &[Half], dst: &mut Vec<f32>) {
     dst.clear();
     dst.reserve(src.len());
     #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() && torchsparse_runtime::cpu_features().f16c {
+    if use_f16c(kernel) {
         x86::f16_dequantize(src, dst);
         return;
     }
@@ -595,7 +438,7 @@ pub fn f16_dequantize_slice(kernel: Kernel, src: &[Half], dst: &mut Vec<f32>) {
 pub fn int8_round_trip_slice(kernel: Kernel, scale: f32, data: &mut [f32]) {
     debug_assert!(scale.is_finite() && scale > 0.0);
     #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() {
+    if runnable(kernel, cpu_features()) == Kernel::Avx2 {
         x86::int8_round_trip(scale, data);
         return;
     }
@@ -614,9 +457,9 @@ fn int8_round_trip_scalar(scale: f32, v: f32) -> f32 {
 
 /// The `std::arch` implementations. This is the only module in the crate
 /// allowed to use `unsafe`: every function is either `#[target_feature]`
-/// (called through a safe wrapper that checked [`cpu_features`]
-/// (torchsparse_runtime::cpu_features) first) or plain pointer arithmetic
-/// over lengths the safe wrappers validated.
+/// (reached only through a public entry point whose kernel passed
+/// [`runnable`], which checked [`cpu_features`] for AVX2 first) or plain
+/// pointer arithmetic over lengths the safe wrappers validated.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
@@ -624,15 +467,14 @@ mod x86 {
     use crate::Half;
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_cmp_ps, _mm256_cvtph_ps,
-        _mm256_cvtps_ph, _mm256_div_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps,
-        _mm256_min_ps, _mm256_movemask_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_round_ps,
-        _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_storeu_si128, _CMP_GE_OQ,
-        _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
+        _mm256_cvtps_ph, _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps,
+        _mm256_movemask_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_round_ps, _mm256_set1_ps,
+        _mm256_storeu_ps, _mm256_sub_ps, _mm_storeu_si128, _CMP_GE_OQ, _CMP_UNORD_Q,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
     };
 
-    /// Entry point for the AVX2 GEMM panel. `fma` selects the fused form.
+    /// Entry point for the AVX2 GEMM panel.
     pub(super) fn panel(
-        fma: bool,
         a: &[f32],
         b: BOperand<'_>,
         k: usize,
@@ -640,15 +482,12 @@ mod x86 {
         row0: usize,
         c_panel: &mut [f32],
     ) {
-        // SAFETY: callers select the AVX2 kernels only after
-        // `cpu_features()` reported avx2 (and fma for the fused form); the
-        // target-feature functions below are then safe to enter.
+        // SAFETY: `gemm_panel` dispatches here only after `runnable`
+        // confirmed the CPU has AVX2.
         unsafe {
-            match (fma, b) {
-                (false, BOperand::Dense(bd)) => panel_dense_avx2(a, bd, k, n, row0, c_panel),
-                (true, BOperand::Dense(bd)) => panel_dense_fma(a, bd, k, n, row0, c_panel),
-                (false, BOperand::Packed(pb)) => panel_packed_avx2(a, pb, k, n, row0, c_panel),
-                (true, BOperand::Packed(pb)) => panel_packed_fma(a, pb, k, n, row0, c_panel),
+            match b {
+                BOperand::Dense(bd) => panel_dense_avx2(a, bd, k, n, row0, c_panel),
+                BOperand::Packed(pb) => panel_packed_avx2(a, pb, k, n, row0, c_panel),
             }
         }
     }
@@ -662,19 +501,7 @@ mod x86 {
         row0: usize,
         c: &mut [f32],
     ) {
-        unsafe { panel_dense_impl::<false>(a, b, k, n, row0, c) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn panel_dense_fma(
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-        row0: usize,
-        c: &mut [f32],
-    ) {
-        unsafe { panel_dense_impl::<true>(a, b, k, n, row0, c) }
+        unsafe { panel_dense_impl(a, b, k, n, row0, c) }
     }
 
     #[target_feature(enable = "avx2")]
@@ -686,19 +513,7 @@ mod x86 {
         row0: usize,
         c: &mut [f32],
     ) {
-        unsafe { panel_packed_impl::<false>(a, pb, k, n, row0, c) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn panel_packed_fma(
-        a: &[f32],
-        pb: &PackedB,
-        k: usize,
-        n: usize,
-        row0: usize,
-        c: &mut [f32],
-    ) {
-        unsafe { panel_packed_impl::<true>(a, pb, k, n, row0, c) }
+        unsafe { panel_packed_impl(a, pb, k, n, row0, c) }
     }
 
     /// Register block: `R` rows of A against one NR-wide column panel of B.
@@ -712,11 +527,11 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (and FMA when `FMA`); every `a_rows[i]` must stay
+    /// Requires AVX2; every `a_rows[i]` must stay
     /// readable for `k` floats, `b_panel` for `k` strides of [`NR`] floats,
     /// and `c_ptr` writable for `R` rows of [`NR`] floats.
     #[inline(always)]
-    unsafe fn block_rows<const FMA: bool, const R: usize>(
+    unsafe fn block_rows<const R: usize>(
         a_rows: [*const f32; R],
         k: usize,
         b_panel: *const f32,
@@ -743,13 +558,8 @@ mod x86 {
                     let aval = *a_rows[i].add(kk);
                     if aval != 0.0 {
                         let av = _mm256_set1_ps(aval);
-                        if FMA {
-                            acc0[i] = _mm256_fmadd_ps(av, b0, acc0[i]);
-                            acc1[i] = _mm256_fmadd_ps(av, b1, acc1[i]);
-                        } else {
-                            acc0[i] = _mm256_add_ps(acc0[i], _mm256_mul_ps(av, b0));
-                            acc1[i] = _mm256_add_ps(acc1[i], _mm256_mul_ps(av, b1));
-                        }
+                        acc0[i] = _mm256_add_ps(acc0[i], _mm256_mul_ps(av, b0));
+                        acc1[i] = _mm256_add_ps(acc1[i], _mm256_mul_ps(av, b1));
                     }
                 }
             }
@@ -761,7 +571,7 @@ mod x86 {
     }
 
     #[inline(always)]
-    unsafe fn panel_dense_impl<const FMA: bool>(
+    unsafe fn panel_dense_impl(
         a: &[f32],
         b: &[f32],
         k: usize,
@@ -783,25 +593,25 @@ mod x86 {
                 let mut r = 0;
                 while r + MR <= rows_here {
                     let rows = std::array::from_fn(|i| a_ptr.add((row0 + r + i) * k));
-                    block_rows::<FMA, MR>(rows, k, b_panel, n, c_base.add(r * n + j0), n);
+                    block_rows::<MR>(rows, k, b_panel, n, c_base.add(r * n + j0), n);
                     r += MR;
                 }
                 while r < rows_here {
                     let rows = [a_ptr.add((row0 + r) * k)];
-                    block_rows::<FMA, 1>(rows, k, b_panel, n, c_base.add(r * n + j0), n);
+                    block_rows::<1>(rows, k, b_panel, n, c_base.add(r * n + j0), n);
                     r += 1;
                 }
             }
         }
-        // Ragged tail columns: the portable loop, which accumulates each
+        // Ragged tail columns: the scalar loop, which accumulates each
         // element in the identical order.
         if full * NR < n {
-            super::panel_portable_dense(a, b, k, n, row0, c_panel, full * NR);
+            super::scalar_panel_dense(a, b, k, n, row0, c_panel, full * NR);
         }
     }
 
     #[inline(always)]
-    unsafe fn panel_packed_impl<const FMA: bool>(
+    unsafe fn panel_packed_impl(
         a: &[f32],
         pb: &PackedB,
         k: usize,
@@ -825,26 +635,12 @@ mod x86 {
                     let mut r = 0;
                     while r + MR <= rows_here {
                         let rows = std::array::from_fn(|i| a_ptr.add((row0 + r + i) * k));
-                        block_rows::<FMA, MR>(
-                            rows,
-                            k,
-                            panel.as_ptr(),
-                            NR,
-                            c_base.add(r * n + j0),
-                            n,
-                        );
+                        block_rows::<MR>(rows, k, panel.as_ptr(), NR, c_base.add(r * n + j0), n);
                         r += MR;
                     }
                     while r < rows_here {
                         let rows = [a_ptr.add((row0 + r) * k)];
-                        block_rows::<FMA, 1>(
-                            rows,
-                            k,
-                            panel.as_ptr(),
-                            NR,
-                            c_base.add(r * n + j0),
-                            n,
-                        );
+                        block_rows::<1>(rows, k, panel.as_ptr(), NR, c_base.add(r * n + j0), n);
                         r += 1;
                     }
                 }
@@ -860,7 +656,7 @@ mod x86 {
                     // packed panel rows are NR floats each.
                     unsafe {
                         let rows = [a.as_ptr().add((row0 + r) * k)];
-                        block_rows::<FMA, 1>(rows, k, panel.as_ptr(), NR, tile.as_mut_ptr(), NR);
+                        block_rows::<1>(rows, k, panel.as_ptr(), NR, tile.as_mut_ptr(), NR);
                     }
                     c_row.copy_from_slice(&tile[..w]);
                 }
@@ -873,7 +669,6 @@ mod x86 {
     /// ([`gemm_gather_scatter`](super::gemm_gather_scatter)).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn fused_rows(
-        kernel: super::Kernel,
         a: &[f32],
         k: usize,
         in_rows: &[u32],
@@ -883,59 +678,20 @@ mod x86 {
         out: &mut [f32],
         out_rel: &[u32],
     ) {
-        // SAFETY: callers select the AVX2 kernels only after cpu_features()
-        // reported avx2 (and fma for the fused-multiply-add form).
-        unsafe {
-            if kernel == super::Kernel::Avx2Fma {
-                fused_rows_fma(kernel, a, k, in_rows, b, n, round_f16, out, out_rel);
-            } else {
-                fused_rows_avx2(kernel, a, k, in_rows, b, n, round_f16, out, out_rel);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fused_rows_avx2(
-        kernel: super::Kernel,
-        a: &[f32],
-        k: usize,
-        in_rows: &[u32],
-        b: BOperand<'_>,
-        n: usize,
-        round_f16: bool,
-        out: &mut [f32],
-        out_rel: &[u32],
-    ) {
-        unsafe { fused_rows_impl::<false>(kernel, a, k, in_rows, b, n, round_f16, out, out_rel) }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fused_rows_fma(
-        kernel: super::Kernel,
-        a: &[f32],
-        k: usize,
-        in_rows: &[u32],
-        b: BOperand<'_>,
-        n: usize,
-        round_f16: bool,
-        out: &mut [f32],
-        out_rel: &[u32],
-    ) {
-        unsafe { fused_rows_impl::<true>(kernel, a, k, in_rows, b, n, round_f16, out, out_rel) }
+        // SAFETY: `gemm_gather_scatter` dispatches here only after
+        // `runnable` confirmed the CPU has AVX2.
+        unsafe { fused_rows_avx2(a, k, in_rows, b, n, round_f16, out, out_rel) }
     }
 
     /// Register-tiled fused kernel: [`MR`]-entry groups of map rows against
     /// each full [`NR`]-wide column panel of B, computed into a zeroed
     /// stack tile (A rows loaded straight through the gather indices),
     /// optionally f16-rounded, then added into the scattered output rows.
-    /// Ragged tail columns delegate to the portable loop, which accumulates
+    /// Ragged tail columns delegate to the scalar loop, which accumulates
     /// each element in the identical order.
     #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn fused_rows_impl<const FMA: bool>(
-        kernel: super::Kernel,
+    #[target_feature(enable = "avx2")]
+    unsafe fn fused_rows_avx2(
         a: &[f32],
         k: usize,
         in_rows: &[u32],
@@ -961,10 +717,10 @@ mod x86 {
                 while r + MR <= in_rows.len() {
                     let rows = std::array::from_fn(|i| a_ptr.add(in_rows[r + i] as usize * k));
                     let mut tile = [0.0f32; MR * NR];
-                    block_rows::<FMA, MR>(rows, k, b_panel, b_stride, tile.as_mut_ptr(), NR);
+                    block_rows::<MR>(rows, k, b_panel, b_stride, tile.as_mut_ptr(), NR);
                     for (i, row) in tile.chunks_mut(NR).enumerate() {
                         if round_f16 {
-                            super::f16_round_trip_slice(kernel, row);
+                            super::f16_round_trip_slice(super::Kernel::Avx2, row);
                         }
                         let o = out_rel[r + i] as usize * n + j0;
                         accumulate_row(&mut out[o..o + NR], row);
@@ -974,9 +730,9 @@ mod x86 {
                 while r < in_rows.len() {
                     let rows = [a_ptr.add(in_rows[r] as usize * k)];
                     let mut tile = [0.0f32; NR];
-                    block_rows::<FMA, 1>(rows, k, b_panel, b_stride, tile.as_mut_ptr(), NR);
+                    block_rows::<1>(rows, k, b_panel, b_stride, tile.as_mut_ptr(), NR);
                     if round_f16 {
-                        super::f16_round_trip_slice(kernel, &mut tile);
+                        super::f16_round_trip_slice(super::Kernel::Avx2, &mut tile);
                     }
                     let o = out_rel[r] as usize * n + j0;
                     accumulate_row(&mut out[o..o + NR], &tile);
@@ -985,8 +741,8 @@ mod x86 {
             }
         }
         if full * NR < n {
-            super::fused_rows_portable(
-                kernel,
+            super::scalar_fused_rows(
+                super::Kernel::Avx2,
                 a,
                 k,
                 in_rows,
@@ -1004,7 +760,8 @@ mod x86 {
     /// independent FP32 add per element, so the bits match the scalar
     /// loop's.
     fn accumulate_row(dst: &mut [f32], src: &[f32]) {
-        // SAFETY: is_simd() selections imply avx2 was detected.
+        // SAFETY: only the AVX2 fused kernel calls this, after `runnable`
+        // confirmed the CPU has AVX2.
         unsafe { accumulate_row_avx2(dst, src) }
     }
 
@@ -1123,7 +880,8 @@ mod x86 {
     }
 
     pub(super) fn int8_round_trip(scale: f32, data: &mut [f32]) {
-        // SAFETY: is_simd() selections imply avx2 was detected.
+        // SAFETY: `int8_round_trip_slice` dispatches here only after
+        // `runnable` confirmed the CPU has AVX2.
         unsafe { int8_round_trip_avx2(scale, data) }
     }
 
@@ -1185,8 +943,8 @@ mod tests {
     use rand::{RngExt, SeedableRng};
 
     fn every_kernel() -> Vec<Kernel> {
-        let mut ks = vec![Kernel::Scalar, Kernel::Portable];
-        if torchsparse_runtime::cpu_features().avx2 {
+        let mut ks = vec![Kernel::Scalar];
+        if cpu_features().avx2 {
             ks.push(Kernel::Avx2);
         }
         ks
@@ -1223,40 +981,15 @@ mod tests {
     }
 
     #[test]
-    fn env_selection_policy() {
-        assert_eq!(select(Some("off")), (Kernel::Portable, None));
-        assert_eq!(select(Some(" Portable ")), (Kernel::Portable, None));
-        assert_eq!(select(Some("scalar")), (Kernel::Scalar, None));
-        let (auto, none) = select(None);
-        assert!(none.is_none());
-        assert!(auto == Kernel::Avx2 || auto == Kernel::Portable);
-        assert_eq!(select(Some("on")), (auto, None));
-        assert_eq!(select(Some("AUTO")), (auto, None));
-        assert_ne!(auto, Kernel::Avx2Fma, "FMA is never auto-selected");
-    }
-
-    #[test]
-    fn env_selection_warns_on_unknown_values() {
-        for bad in ["avx512", "1", "yes", ""] {
-            let (kernel, warning) = select(Some(bad));
-            let (auto, _) = select(None);
-            assert_eq!(kernel, auto, "{bad:?} must fall back to auto-detection");
-            let w = warning.unwrap_or_else(|| panic!("{bad:?} must produce a warning"));
-            assert!(w.contains("TORCHSPARSE_SIMD"), "warning must name the variable: {w}");
-            assert!(w.contains(kernel.name()), "warning must name the fallback kernel: {w}");
-        }
-    }
-
-    #[test]
-    fn with_fma_only_upgrades_avx2() {
-        assert_eq!(Kernel::Scalar.with_fma(), Kernel::Scalar);
-        assert_eq!(Kernel::Portable.with_fma(), Kernel::Portable);
-        let up = Kernel::Avx2.with_fma();
-        if torchsparse_runtime::cpu_features().fma {
-            assert_eq!(up, Kernel::Avx2Fma);
-        } else {
-            assert_eq!(up, Kernel::Avx2);
-        }
+    fn avx2_runs_only_on_cpus_that_have_it() {
+        let none = CpuFeatures { avx2: false, fma: false, f16c: false };
+        let with_avx2 = CpuFeatures { avx2: true, fma: false, f16c: false };
+        assert_eq!(runnable(Kernel::Avx2, none), Kernel::Scalar);
+        assert_eq!(runnable(Kernel::Scalar, none), Kernel::Scalar);
+        assert_eq!(runnable(Kernel::Avx2, with_avx2), Kernel::Avx2);
+        assert_eq!(runnable(Kernel::Scalar, with_avx2), Kernel::Scalar);
+        let expect = if cpu_features().avx2 { Kernel::Avx2 } else { Kernel::Scalar };
+        assert_eq!(active(), expect);
     }
 
     #[test]
@@ -1561,7 +1294,7 @@ mod tests {
     proptest! {
         /// Arbitrary shapes — including ragged tails (`n % NR != 0`,
         /// `rows % MR != 0`) and degenerate `k` — are bitwise identical
-        /// across every non-FMA kernel and both B layouts.
+        /// across both kernels and both B layouts.
         #[test]
         fn prop_kernels_bitwise_equal(
             m in 1usize..40, k in 0usize..24, n in 1usize..40, seed in 0u64..500

@@ -183,10 +183,15 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
     let v2 = "{\"version\":2,\"entries\":[{\"key\":\"v5:d2:c4x8:k27:sm1:fp16:fe1:turing\",\
               \"mode\":\"fixed\",\"epsilon\":0,\"s\":0,\"fused\":true,\"simd\":\"auto\",\
               \"chunk\":64,\"panel\":64}]}";
+    // So is a well-formed version-3 file (its entries carry a SIMD field).
+    let v3 = "{\"version\":3,\"entries\":[{\"key\":\"v5:d2:c4x8:k27:sm1:fp16:turing\",\
+              \"mode\":\"fixed\",\"epsilon\":0,\"s\":0,\"simd\":\"auto\",\
+              \"chunk\":64,\"panel\":64}]}";
     for (name, text) in [
         ("corrupt", "{this is not json"),
         ("stale", "{\"version\":99,\"entries\":[]}"),
         ("stale-v2", v2),
+        ("stale-v3", v3),
     ] {
         let db = temp_db(name);
         std::fs::write(&db, text).expect("seed bad db");
@@ -220,9 +225,9 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
 fn every_selectable_policy_is_bitwise_neutral() {
     // The autotuner's entire product space — grouping, chunk and panel
     // widths — must not change a single output bit; the
-    // search is free to pick anything. SIMD stays pinned to the config
-    // (the kernels are bit-exact among themselves, which
-    // `dataflow::tests` covers at the unit level).
+    // search is free to pick anything. The SIMD kernel is not a policy
+    // axis: it follows the config (the kernels are bit-exact among
+    // themselves, which `microkernel::tests` covers at the unit level).
     let m = two_conv_model();
     let x = small_scene(4);
     let mut cfg = EnginePreset::TorchSparse.config();
@@ -245,7 +250,7 @@ fn every_selectable_policy_is_bitwise_neutral() {
     for grouping in groupings {
         for &chunk_rows in &widths {
             for &panel_rows in &widths {
-                let policy = ExecPolicy { grouping, simd: cfg.simd, chunk_rows, panel_rows };
+                let policy = ExecPolicy { grouping, chunk_rows, panel_rows };
                 let mut engine = Engine::with_config(cfg.clone(), device());
                 let ctx = engine.context_mut();
                 ctx.tuned_policies.insert("c1".to_owned(), policy);

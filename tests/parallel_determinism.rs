@@ -111,11 +111,10 @@ fn fixed_scene_bitwise_identical_across_thread_counts() {
 
 /// The SIMD microkernels must be as invisible as the thread count: for
 /// every dataflow and storage precision, forcing the SIMD policy to
-/// `Scalar` (the pre-SIMD loops), `Portable` (fixed-width arrays), or
-/// leaving it on `Auto` (AVX2 where detected) yields bitwise identical
-/// outputs at every worker count. The non-FMA kernels preserve the scalar
-/// k-major mul-then-add accumulation order exactly, so this holds with no
-/// tolerance.
+/// `Scalar` (the safe-Rust loops) or leaving it on `Auto` (AVX2 where
+/// detected) yields bitwise identical outputs at every worker count. Both
+/// kernels preserve the k-major mul-then-add accumulation order exactly,
+/// so this holds with no tolerance.
 #[test]
 fn simd_policy_bitwise_identical_across_dataflows_and_precisions() {
     let sites: Vec<(i32, i32, i32)> =
@@ -125,7 +124,7 @@ fn simd_policy_bitwise_identical_across_dataflows_and_precisions() {
     for (dataflow, cfg) in dataflow_configs() {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
             let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
-            for policy in [SimdPolicy::Scalar, SimdPolicy::Portable, SimdPolicy::Auto] {
+            for policy in [SimdPolicy::Scalar, SimdPolicy::Auto] {
                 for threads in THREADS {
                     let mut cfg = cfg.clone();
                     cfg.precision = precision;
