@@ -160,6 +160,11 @@ pub enum BOperand<'a> {
 /// elements). Both kernels accumulate each output element over `kk` in
 /// ascending order with mul-then-add and skip `a == 0.0` terms, so they
 /// are bitwise interchangeable.
+///
+/// # Panics
+///
+/// Panics when `a` holds fewer than the panel's `row0 + rows` rows of `k`
+/// floats, or when B is smaller than `k x n`.
 pub fn gemm_panel(
     kernel: Kernel,
     a: &[f32],
@@ -172,11 +177,25 @@ pub fn gemm_panel(
     if n == 0 || c_panel.is_empty() {
         return;
     }
+    assert!((row0 + c_panel.len() / n) * k <= a.len(), "A holds every panel row");
+    check_b(b, k, n);
     match (runnable(kernel, cpu_features()), b) {
         #[cfg(target_arch = "x86_64")]
         (Kernel::Avx2, b) => x86::panel(a, b, k, n, row0, c_panel),
         (_, BOperand::Dense(bd)) => scalar_panel_dense(a, bd, k, n, row0, c_panel, 0),
         (_, BOperand::Packed(pb)) => scalar_panel_packed(a, pb, k, n, row0, c_panel),
+    }
+}
+
+/// Asserts that B covers `k x n` — the AVX2 kernels read it through raw
+/// pointers.
+fn check_b(b: BOperand<'_>, k: usize, n: usize) {
+    match b {
+        BOperand::Dense(bd) => assert!(bd.len() >= k * n, "dense B holds k x n"),
+        BOperand::Packed(pb) => {
+            assert_eq!(pb.k, k);
+            assert_eq!(pb.n, n);
+        }
     }
 }
 
@@ -307,13 +326,7 @@ pub fn gemm_gather_scatter(
     for &dst in out_rel {
         assert!((dst as usize + 1) * n <= out.len(), "scatter row in bounds");
     }
-    match b {
-        BOperand::Dense(bd) => assert!(bd.len() >= k * n, "dense B holds k x n"),
-        BOperand::Packed(pb) => {
-            assert_eq!(pb.k, k);
-            assert_eq!(pb.n, n);
-        }
-    }
+    check_b(b, k, n);
     match runnable(kernel, cpu_features()) {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => x86::fused_rows(a, k, in_rows, b, n, round_f16, out, out_rel),
@@ -483,7 +496,8 @@ mod x86 {
         c_panel: &mut [f32],
     ) {
         // SAFETY: `gemm_panel` dispatches here only after `runnable`
-        // confirmed the CPU has AVX2.
+        // confirmed the CPU has AVX2, and after asserting that `a` holds
+        // every panel row and B covers k x n.
         unsafe {
             match b {
                 BOperand::Dense(bd) => panel_dense_avx2(a, bd, k, n, row0, c_panel),
@@ -492,6 +506,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; `a` must hold rows `row0 ..` of `k`
+    /// floats for every row of `c`, and `b` must hold `k x n` floats.
     #[target_feature(enable = "avx2")]
     unsafe fn panel_dense_avx2(
         a: &[f32],
@@ -504,6 +522,10 @@ mod x86 {
         unsafe { panel_dense_impl(a, b, k, n, row0, c) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; `a` must hold rows `row0 ..` of `k`
+    /// floats for every row of `c`, and `pb` must be `k x n`.
     #[target_feature(enable = "avx2")]
     unsafe fn panel_packed_avx2(
         a: &[f32],
@@ -570,6 +592,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// As [`panel_dense_avx2`], whose target-feature context this inlines
+    /// into.
     #[inline(always)]
     unsafe fn panel_dense_impl(
         a: &[f32],
@@ -610,6 +636,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// As [`panel_packed_avx2`], whose target-feature context this inlines
+    /// into.
     #[inline(always)]
     unsafe fn panel_packed_impl(
         a: &[f32],
@@ -689,6 +719,12 @@ mod x86 {
     /// optionally f16-rounded, then added into the scattered output rows.
     /// Ragged tail columns delegate to the scalar loop, which accumulates
     /// each element in the identical order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; every `in_rows` index must name a row of
+    /// `a` (`k` floats), every `out_rel` index a row of `out` (`n` floats),
+    /// and B must cover `k x n` — the checks `gemm_gather_scatter` makes.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     unsafe fn fused_rows_avx2(
@@ -1055,6 +1091,22 @@ mod tests {
                 assert_eq!(bits(&c), bits(&reference), "{}", kernel.name());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "A holds every panel row")]
+    fn gemm_panel_rejects_a_shorter_than_the_panel() {
+        let b = Matrix::zeros(4, 16);
+        let mut c = vec![0.0f32; 2 * 16];
+        gemm_panel(active(), &[1.0; 4], BOperand::Dense(b.as_slice()), 4, 16, 0, &mut c);
+    }
+
+    #[test]
+    #[should_panic]
+    fn gemm_panel_rejects_packed_b_of_another_depth() {
+        let pb = PackedB::pack(&Matrix::zeros(2, 16));
+        let mut c = vec![0.0f32; 16];
+        gemm_panel(active(), &[1.0; 4], BOperand::Packed(&pb), 4, 16, 0, &mut c);
     }
 
     #[test]
