@@ -47,7 +47,8 @@ impl GroupingStrategy {
 }
 
 /// Compute-kernel (SIMD) selection policy for GEMM, gather/scatter, and
-/// precision-conversion sweeps — the one place the host kernel is chosen.
+/// precision-conversion sweeps — the engine's only switch for the host
+/// kernel.
 ///
 /// Both choices produce **bitwise identical** results: the AVX2 kernel
 /// vectorizes along the output-channel dimension, so every output element
